@@ -16,7 +16,7 @@ import numpy as np
 
 from .gamma_update import fit_gamma_prior, mdkm_posterior
 from .gaussring import DEFAULT_RING_CAP, mdkr_cell
-from .kalman import KalmanState, MomentPair, predict, update
+from .kalman import KalmanState, MomentPair, predict, tally, update
 from .logmmse import NoiseTrack, logmmse_enhance, track_noise
 from .lpc import (
     ModFrameConfig,
@@ -124,6 +124,13 @@ def _run(samples, rate: int, cfg: EnhancerConfig, capture: bool) -> Diagnostics:
     x = np.asarray(samples, dtype=float).ravel()
     if x.size == 0:
         raise ValueError("signal is empty")
+    finite = np.isfinite(x)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise ValueError(
+            f"signal has {x.size - int(finite.sum())} non-finite samples "
+            f"(NaN or Inf), the first at index {first}; the enhancer needs "
+            "finite input")
     if rate != cfg.sample_rate:
         raise ValueError(f"sample rate {rate} != configured {cfg.sample_rate}")
     counters: dict = {"cell_faults": 0}
@@ -205,7 +212,6 @@ def _kalman_amplitudes(spec, noise: NoiseTrack, pre, cfg: EnhancerConfig,
     g_speech = np.zeros((n_frames, n_bins), dtype=np.int16) if capture and q else None
     g_noise = np.zeros((n_frames, n_bins), dtype=np.int16) if capture and q else None
 
-    sel = state.picked()
     info: dict | None = {} if capture else None
 
     for n in range(n_frames):
@@ -233,9 +239,7 @@ def _kalman_amplitudes(spec, noise: NoiseTrack, pre, cfg: EnhancerConfig,
             over = mu[:, 1] > mcap
             if over.any():
                 mu[over, 1] = mcap[over]
-                counters["noise_mean_clamped"] = (
-                    counters.get("noise_mean_clamped", 0) + int(over.sum())
-                )
+                tally(counters, "noise_mean_clamped", np.count_nonzero(over))
         prior = MomentPair(mu, Sigma)
 
         if q == 0:
@@ -286,7 +290,7 @@ def _kalman_amplitudes(spec, noise: NoiseTrack, pre, cfg: EnhancerConfig,
             ra, rp = _init_rows(amps[n, row_bad], noise.psd[n, row_bad], p, q, mean_power)
             state.a[row_bad] = ra
             state.P[row_bad] = rp
-            counters["cell_faults"] = counters.get("cell_faults", 0) + int(row_bad.sum())
+            tally(counters, "cell_faults", np.count_nonzero(row_bad))
         amps_hat[n] = est
 
     gains = None

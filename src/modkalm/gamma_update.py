@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import digamma, gammaln
 
+from .kalman import tally
 from .specfun import gamma_half_ratio, kummer_m_log
 
 GAMMA_MIN = 1e-3
@@ -26,19 +26,10 @@ VAR_FLOOR_REL = 1e-12
 
 @dataclass
 class GammaPrior:
-    """Shape/scale pair; scalar or array-valued for batched fits."""
+    """Shape/scale pair, array-valued (0-d for a single cell)."""
 
     gamma: np.ndarray
     beta: np.ndarray
-
-    def amplitude_mean(self):
-        return self.beta * gamma_half_ratio(self.gamma)
-
-    def amplitude_second_moment(self):
-        return self.gamma * self.beta ** 2
-
-    def amplitude_var(self):
-        return self.amplitude_second_moment() - self.amplitude_mean() ** 2
 
 
 @dataclass
@@ -86,7 +77,6 @@ def fit_gamma_prior(mu, var, counters: dict | None = None) -> GammaPrior:
     ratio saturates there and the downstream special functions stay inside
     their supported box); clamps are counted.
     """
-    scalar = np.isscalar(mu) and np.isscalar(var)
     mu = np.asarray(mu, dtype=float)
     var = np.asarray(var, dtype=float)
     if np.any(mu < 0):
@@ -99,39 +89,16 @@ def fit_gamma_prior(mu, var, counters: dict | None = None) -> GammaPrior:
         log_r = np.log(mu * mu) - np.log(second)
     lo = log_r <= _GRID_LOG_F[0]
     hi = log_r >= _GRID_LOG_F[-1]
-    if counters is not None:
-        n_lo, n_hi = int(np.count_nonzero(lo)), int(np.count_nonzero(hi))
-        if n_lo:
-            counters["gamma_clamped_low"] = counters.get("gamma_clamped_low", 0) + n_lo
-        if n_hi:
-            counters["gamma_clamped_high"] = counters.get("gamma_clamped_high", 0) + n_hi
+    tally(counters, "gamma_clamped_low", np.count_nonzero(lo))
+    tally(counters, "gamma_clamped_high", np.count_nonzero(hi))
 
-    if mu.ndim == 0:
-        if lo:
-            g = GAMMA_MIN
-        elif hi:
-            g = GAMMA_MAX
-        else:
-            g = brentq(
-                lambda t: _log_shape_ratio(t) - float(log_r),
-                GAMMA_MIN,
-                GAMMA_MAX,
-                xtol=1e-13,
-                rtol=8.9e-16,
-            )
-        gamma = np.asarray(g, dtype=float)
-    else:
-        gamma = np.empty_like(mu)
-        gamma[lo] = GAMMA_MIN
-        gamma[hi] = GAMMA_MAX
-        mid = ~(lo | hi)
-        if np.any(mid):
-            gamma[mid] = _solve_gamma_vec(log_r[mid])
-
-    beta = np.sqrt(second / gamma)
-    if scalar:
-        return GammaPrior(float(gamma), float(beta))
-    return GammaPrior(gamma, beta)
+    gamma = np.empty_like(mu)
+    gamma[lo] = GAMMA_MIN
+    gamma[hi] = GAMMA_MAX
+    mid = ~(lo | hi)
+    if np.any(mid):
+        gamma[mid] = _solve_gamma_vec(log_r[mid])
+    return GammaPrior(gamma, np.sqrt(second / gamma))
 
 
 def snr_pair(prior: GammaPrior, nu2, y) -> SnrPair:
@@ -155,7 +122,6 @@ def mdkm_posterior(prior: GammaPrior, nu2, y, counters: dict | None = None):
     minus the squared mean, floored at 1e-12·y² (floor hits are counted).
     A zero observation reports a zero mean with all mass in the variance.
     """
-    scalar = np.isscalar(y) and np.isscalar(nu2) and np.isscalar(prior.gamma)
     gamma = np.asarray(prior.gamma, dtype=float)
     pair = snr_pair(prior, nu2, y)
     zeta, xi = np.asarray(pair.zeta), np.asarray(pair.xi)
@@ -185,12 +151,5 @@ def mdkm_posterior(prior: GammaPrior, nu2, y, counters: dict | None = None):
     mean = np.where(y > 0, mean, 0.0)
     var = second - mean * mean
     floor = VAR_FLOOR_REL * y * y
-    low = var < floor
-    if counters is not None and np.any(low):
-        counters["posterior_var_floored"] = counters.get(
-            "posterior_var_floored", 0
-        ) + int(np.count_nonzero(low))
-    var = np.maximum(var, floor)
-    if scalar:
-        return float(mean), float(var)
-    return mean, var
+    tally(counters, "posterior_var_floored", np.count_nonzero(var < floor))
+    return mean, np.maximum(var, floor)

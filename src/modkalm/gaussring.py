@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import i0e, i1e
 
-from .kalman import MomentPair, psd_project
-from .specfun import gamma_half_ratio
+from .kalman import psd_project, tally
 
 # mean/std ratio of a Rayleigh amplitude: below this no ring is identifiable
 RAYLEIGH_GATE = float(np.sqrt(np.pi / (4.0 - np.pi)))
@@ -50,23 +49,6 @@ class GaussringModel:
     var: float
     center: complex
     fallback: bool
-
-    @property
-    def weight(self) -> float:
-        return 1.0 / self.G
-
-
-@dataclass
-class SquaredMoments:
-    """First/second moments of (|S|², |S−z|²) for one product component."""
-
-    mu_sq: np.ndarray
-    sigma_sq: np.ndarray
-
-    @property
-    def rho(self) -> float:
-        denom = np.sqrt(self.sigma_sq[0, 0] * self.sigma_sq[1, 1])
-        return float(self.sigma_sq[0, 1] / denom) if denom > 0 else 0.0
 
 
 _unit_rings: dict[int, np.ndarray] = {}
@@ -127,8 +109,7 @@ def build_ring(mu, var, center: complex = 0j, cap: int = DEFAULT_RING_CAP,
         # length becomes the per-dimension deviation
         half_chord2 = (rice.alpha * np.sin(np.pi / G)) ** 2
         delta = max(delta, 2.0 * half_chord2)
-        if counters is not None:
-            counters["ring_capped"] = counters.get("ring_capped", 0) + 1
+        tally(counters, "ring_capped")
     means = center + rice.alpha * _unit_ring(G)
     return GaussringModel(G=G, means=means, var=float(delta),
                           center=complex(center), fallback=False)
@@ -151,55 +132,6 @@ def _product_arrays(speech: GaussringModel, noise: GaussringModel):
         w /= w.sum()
     means = (dprod * (speech.means[:, None] / speech.var + noise.means[None, :] / noise.var)).ravel()
     return w, means, dprod
-
-
-def product_components(speech: GaussringModel, noise: GaussringModel):
-    """All pairwise products as (weight, mean, var) triples, weights summing to 1."""
-    w, means, dprod = _product_arrays(speech, noise)
-    return [(float(wi), complex(oi), float(dprod)) for wi, oi in zip(w, means)]
-
-
-def squared_moments(o: complex, delta: float, z: complex) -> SquaredMoments:
-    """Moments of the squared amplitudes of S and S−z for S ~ CN(o, delta).
-
-    The pair (S, S−z) is perfectly correlated, so its 2x2 complex covariance
-    has every entry equal to delta; squaring then gives
-    Cov(|u_i|², |u_j|²) = |Σ_ij|² + 2 Re(Σ_ij ū_i u_j).
-    """
-    if delta <= 0:
-        raise ValueError("component variance must be positive")
-    mu = np.array([o, o - z], dtype=complex)
-    a2 = np.abs(mu) ** 2
-    mu_sq = delta + a2
-    s11 = delta * delta + 2.0 * delta * a2[0]
-    s22 = delta * delta + 2.0 * delta * a2[1]
-    s12 = delta * delta + 2.0 * delta * float(np.real(mu[0] * np.conj(mu[1])))
-    return SquaredMoments(
-        mu_sq=mu_sq, sigma_sq=np.array([[s11, s12], [s12, s22]])
-    )
-
-
-def component_amplitude_moments(sq: SquaredMoments):
-    """Amplitude mean vector and covariance implied by squared-moment fits.
-
-    Each squared amplitude is matched to a Nakagami shape m = Ω²/σ²_sq whose
-    amplitude mean Γ(m+½)/Γ(m)·√(Ω/m) and variance Ω − mean² are exact; the
-    amplitude covariance reuses the squared-domain correlation.
-    """
-    Omega = np.asarray(sq.mu_sq, dtype=float)
-    s = np.diag(sq.sigma_sq).copy()
-    mean = np.empty(2)
-    var = np.empty(2)
-    for i in range(2):
-        if s[i] <= 0:
-            mean[i] = np.sqrt(Omega[i])
-            var[i] = 0.0
-        else:
-            m = Omega[i] ** 2 / s[i]
-            mean[i] = gamma_half_ratio(m) * np.sqrt(Omega[i] / m)
-            var[i] = Omega[i] - mean[i] ** 2
-    omega = sq.rho * np.sqrt(var[0] * var[1])
-    return mean, np.array([[var[0], omega], [omega, var[1]]])
 
 
 def rice_mean(a2, delta):
@@ -286,9 +218,7 @@ def mdkr_cell(
 
     keep = w > _WEIGHT_PRUNE * w.max()
     if not np.all(keep):
-        if counters is not None:
-            dropped = int(np.count_nonzero(~keep))
-            counters["components_pruned"] = counters.get("components_pruned", 0) + dropped
+        tally(counters, "components_pruned", np.count_nonzero(~keep))
         w, means = w[keep], means[keep]
         w = w / w.sum()
 
@@ -307,19 +237,3 @@ def mdkr_cell(
     ):
         Sigma = psd_project(Sigma)
     return mu, Sigma
-
-
-def mdkr_posterior(
-    prior: MomentPair,
-    noise_prior: MomentPair,
-    z: complex,
-    max_components: int = DEFAULT_RING_CAP,
-    counters: dict | None = None,
-) -> MomentPair:
-    """:func:`mdkr_cell` on a pair of single-amplitude moment containers."""
-    mu, Sigma = mdkr_cell(
-        float(prior.mu[..., 0]), float(prior.sigma[..., 0, 0]),
-        float(noise_prior.mu[..., 0]), float(noise_prior.sigma[..., 0, 0]),
-        complex(z), cap=max_components, counters=counters,
-    )
-    return MomentPair(mu, Sigma)

@@ -8,7 +8,8 @@ the conditional-Gaussian transform.
 
 All operations accept an optional leading batch axis on ``a`` and ``P`` so a
 whole frame of frequency bins can be stepped at once; the maths per slice is
-identical to the scalar case.
+identical to the scalar case.  :func:`tally` is the one helper through which
+every stage adds to the run's counters.
 """
 from __future__ import annotations
 
@@ -16,13 +17,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lpc import ModulationLpcModel
-
 # eigenvalue below which P is considered indefinite and gets re-projected
 _PSD_TOL = 1e-10
 # condition number above which the 2x2 prior covariance gets regularized
 _COND_LIMIT = 1e12
 _RIDGE = 1e-8
+
+
+def tally(counters: dict | None, key: str, n: int = 1) -> None:
+    """Add ``n`` to ``counters[key]``; no-op without a dict or when n is 0,
+    so a key appears only once something happened."""
+    if counters is not None and n:
+        counters[key] = counters.get(key, 0) + int(n)
 
 
 @dataclass
@@ -77,35 +83,6 @@ class MomentPair:
             raise ValueError("sigma shape does not match mu")
 
 
-def build_transition(speech: ModulationLpcModel, noise: ModulationLpcModel):
-    """Assemble (F, Q, D) from the two prediction models.
-
-    F is block-diagonal in the two companion matrices, Q holds the residual
-    variances and D picks out the entries that receive fresh excitation (the
-    current speech amplitude and, when ``noise.order > 0``, the current noise
-    amplitude).  An order-0 noise model yields the speech-only layout.
-    """
-    p, q = speech.order, noise.order
-    if p < 1:
-        raise ValueError("speech model must have order >= 1")
-    n = p + q
-    F = np.zeros((n, n))
-    F[0, :p] = -speech.coeffs
-    F[1:p, : p - 1] += np.eye(p - 1)
-    if q:
-        F[p, p:] = -noise.coeffs
-        F[p + 1 :, p : n - 1] += np.eye(q - 1)
-        Q = np.diag([speech.residual_var, noise.residual_var])
-        D = np.zeros((n, 2))
-        D[0, 0] = 1.0
-        D[p, 1] = 1.0
-    else:
-        Q = np.array([[speech.residual_var]])
-        D = np.zeros((n, 1))
-        D[0, 0] = 1.0
-    return F, Q, D
-
-
 def predict(state: KalmanState, F, Q, D, counters: dict | None = None):
     """One-step time update; returns the predicted state and prior moments.
 
@@ -129,9 +106,7 @@ def predict(state: KalmanState, F, Q, D, counters: dict | None = None):
 
     sel = state.picked()
     mu_raw = a[..., sel]
-    clamped = int(np.count_nonzero(mu_raw < 0.0))
-    if counters is not None and clamped:
-        counters["prior_mean_clamped"] = counters.get("prior_mean_clamped", 0) + clamped
+    tally(counters, "prior_mean_clamped", np.count_nonzero(mu_raw < 0.0))
     mu = np.maximum(mu_raw, 0.0)
     Sigma = P[..., sel, :][..., :, sel]
     return KalmanState(a, P, state.p, state.q), MomentPair(mu, Sigma)
@@ -166,8 +141,7 @@ def update(
     if np.any(np.linalg.cond(Sigma) > _COND_LIMIT):
         tr = np.trace(Sigma, axis1=-2, axis2=-1)
         Sigma = Sigma + (_RIDGE * tr / d)[..., None, None] * np.eye(d)
-        if counters is not None:
-            counters["sigma_regularized"] = counters.get("sigma_regularized", 0) + 1
+        tally(counters, "sigma_regularized")
 
     M = P[..., rest, :][..., :, sel]
     # G = M Σ⁻¹ via a transposed solve so no explicit inverse is formed
@@ -191,8 +165,7 @@ def update(
     eigmin = np.min(np.linalg.eigvalsh(P_new))
     if eigmin < -_PSD_TOL:
         P_new = psd_project(P_new)
-        if counters is not None:
-            counters["psd_projected"] = counters.get("psd_projected", 0) + 1
+        tally(counters, "psd_projected")
     return KalmanState(a_new, P_new, prior_state.p, prior_state.q)
 
 

@@ -8,23 +8,17 @@ the companion-matrix convention: predicted a_n = -sum_i b_i * a_{n-i}.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import get_window
 
 __all__ = [
-    "ModulationLpcModel",
     "ModFrameConfig",
-    "TrackedModel",
     "autocorrelation",
-    "levinson",
     "levinson_grid",
-    "speech_lpc_track",
     "speech_lpc_grid",
-    "noise_lpc_track",
     "noise_lpc_grid",
-    "models_per_frame",
     "frame_model_index",
     "prediction_gain",
 ]
@@ -32,23 +26,6 @@ __all__ = [
 # relative diagonal loading applied before the recursion so nearly singular
 # autocorrelations (e.g. constant tracks) stay solvable
 _DIAG_LOAD = 1e-10
-
-
-@dataclass
-class ModulationLpcModel:
-    """AR model of one modulation frame: predicted a_n = -coeffs . past."""
-
-    coeffs: np.ndarray
-    residual_var: float
-    order: int
-    degenerate: bool = False
-
-    def predict_next(self, recent) -> float:
-        """One-step prediction; ``recent[0]`` is the newest past value."""
-        recent = np.asarray(recent, dtype=float)
-        if recent.size < self.order:
-            raise ValueError("need at least `order` past values")
-        return float(-np.dot(self.coeffs, recent[: self.order]))
 
 
 @dataclass(frozen=True)
@@ -69,15 +46,6 @@ class ModFrameConfig:
         return get_window(self.window, self.mod_frame_len, fftbins=True)
 
 
-@dataclass
-class TrackedModel:
-    """A fitted model plus the half-open range of acoustic frames it governs."""
-
-    model: ModulationLpcModel
-    first_frame: int
-    last_frame: int
-
-
 def autocorrelation(seq, max_lag: int) -> np.ndarray:
     """Biased autocorrelation r[l] = (1/N) sum_t seq[t] seq[t+l], l=0..max_lag."""
     x = np.asarray(seq, dtype=float).ravel()
@@ -87,58 +55,16 @@ def autocorrelation(seq, max_lag: int) -> np.ndarray:
     return np.array([np.dot(x[: n - l], x[l:]) / n for l in range(max_lag + 1)])
 
 
-def levinson(r, order: int) -> ModulationLpcModel:
-    """Levinson-Durbin recursion on an autocorrelation vector.
-
-    Falls back to the highest stable order when the recursion hits a
-    non-positive error or a reflection coefficient of magnitude >= 1 (the
-    trailing coefficients stay zero in that case).
-    """
-    r = np.asarray(r, dtype=float).ravel()
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if r.size < order + 1:
-        raise ValueError("autocorrelation vector too short for requested order")
-    if r[0] <= 0:
-        raise ValueError("r[0] must be positive")
-    if order == 0:
-        return ModulationLpcModel(np.zeros(0), float(r[0]), 0)
-    r = r.copy()
-    r[0] *= 1.0 + _DIAG_LOAD
-    # c holds forward-prediction coefficients: predicted a_n = c . past
-    c = np.zeros(order)
-    err = r[0]
-    for i in range(1, order + 1):
-        acc = r[i] - np.dot(c[: i - 1], r[i - 1:0:-1])
-        k = acc / err
-        if not np.isfinite(k) or abs(k) >= 1.0:
-            break
-        if i > 1:
-            c[: i - 1] -= k * c[i - 2::-1]
-        c[i - 1] = k
-        err *= 1.0 - k * k
-        if err <= 0:
-            err = max(err, 0.0)
-            break
-    return ModulationLpcModel(-c, float(max(err, 0.0)), order)
-
-
-def _compensated_acf(seg: np.ndarray, win: np.ndarray, max_lag: int) -> np.ndarray:
-    # dividing out the window's own biased autocorrelation keeps constants
-    # exactly predictable (the plain windowed ACF would not)
-    r = autocorrelation(seg * win, max_lag)
-    return r / autocorrelation(win, max_lag)
-
-
 def levinson_grid(r: np.ndarray, order: int):
-    """Levinson-Durbin over a batch of autocorrelation rows.
+    """Levinson-Durbin recursion over a batch of autocorrelation rows.
 
     ``r`` has shape (B, order+1); returns (coeffs (B, order), residual (B,))
-    with the same per-row fallback semantics as :func:`levinson` — rows that
-    hit an unstable reflection coefficient or a non-positive error freeze at
-    the highest stable order.  Rows with ``r[:, 0] <= 0`` come back as
-    all-zero "degenerate" models (the scalar path raises instead; grid
-    callers mask those rows themselves).
+    in the companion-matrix sign convention.  ``r[:, 0]`` is loaded by a
+    relative 1e-10 first, so nearly singular rows stay solvable.  A row
+    whose recursion hits a reflection coefficient of magnitude >= 1 or a
+    non-positive error freezes at the highest stable order; its trailing
+    coefficients stay zero.  Rows with ``r[:, 0] <= 0`` come back as
+    all-zero "degenerate" models, and callers mask those rows themselves.
     """
     r = np.asarray(r, dtype=float)
     if order < 0:
@@ -171,40 +97,14 @@ def levinson_grid(r: np.ndarray, order: int):
     return -c, np.maximum(err, 0.0)
 
 
-def speech_lpc_track(precleaned_amps, cfg: ModFrameConfig,
-                     order: int) -> list[TrackedModel]:
-    """Per-modulation-frame AR models of one bin's pre-cleaned amplitude track.
-
-    A frame's model governs the acoustic frames from its final window
-    position until the next window completes; the first model also covers
-    the warm-up frames before any window is complete.
-    """
-    amps = np.asarray(precleaned_amps, dtype=float).ravel()
-    mlen, inc = cfg.mod_frame_len, cfg.mod_frame_inc
-    if amps.size < mlen:
-        raise ValueError(f"track length {amps.size} < mod_frame_len {mlen}")
-    win = cfg.window_samples()
-    track: list[TrackedModel] = []
-    starts = range(0, amps.size - mlen + 1, inc)
-    for s in starts:
-        seg = amps[s:s + mlen]
-        if not np.any(seg):
-            model = ModulationLpcModel(np.zeros(order), 0.0, order,
-                                       degenerate=True)
-        else:
-            model = levinson(_compensated_acf(seg, win, order), order)
-        end = s + mlen - 1
-        first = 0 if s == 0 else end
-        track.append(TrackedModel(model, first, end + inc - 1))
-    track[-1].last_frame = amps.size - 1
-    return track
-
-
 def speech_lpc_grid(precleaned_amps, cfg: ModFrameConfig, order: int):
     """Per-modulation-frame AR fits for every bin of an amplitude grid.
 
-    Vectorized counterpart of running :func:`speech_lpc_track` on each
-    column of ``precleaned_amps`` (frames, bins).  Returns
+    ``precleaned_amps`` is (frames, bins).  Each bin's track is cut into
+    windowed modulation frames of ``cfg.mod_frame_len`` acoustic frames,
+    stepped by ``cfg.mod_frame_inc``, and an AR model is fitted to each.
+    The windowed autocorrelation is divided by the window's own, which
+    keeps a constant track exactly predictable.  Returns
     ``(coeffs (S, bins, order), residual (S, bins))`` where S is the number
     of modulation windows; all-zero segments come back degenerate
     (zero coefficients, zero residual).
@@ -234,60 +134,19 @@ def speech_lpc_grid(precleaned_amps, cfg: ModFrameConfig, order: int):
     return coeffs, resvar
 
 
-def noise_lpc_track(noisy_amps, vad, cfg: ModFrameConfig,
-                    order: int, smoothing: float = 0.9) -> list[TrackedModel]:
-    """AR models of one bin's noise amplitude modulation.
-
-    Keeps a recursively averaged modulation magnitude spectrum, updated with
-    factor ``smoothing`` only on modulation frames whose acoustic frames are
-    all flagged noise-only; the model is refitted from the inverse DFT of the
-    averaged squared magnitudes.  Before any noise-only frame is seen the
-    model derives from a flat spectrum scaled to the first few frames.
-    """
-    amps = np.asarray(noisy_amps, dtype=float).ravel()
-    flags = np.asarray(vad, dtype=bool).ravel()
-    if flags.size != amps.size:
-        raise ValueError("vad flags must align with the amplitude track")
-    mlen, inc = cfg.mod_frame_len, cfg.mod_frame_inc
-    if amps.size < mlen:
-        raise ValueError(f"track length {amps.size} < mod_frame_len {mlen}")
-    win = cfg.window_samples()
-    nfft = 2 * mlen
-    # window correlation without the 1/N bias factor, for unit-consistent ACF
-    wcorr = np.array([np.dot(win[: mlen - l], win[l:]) for l in range(order + 1)])
-    # flat-spectrum initialization from the leading frames
-    p0 = float(np.mean(amps[: min(6, amps.size)] ** 2))
-    mbar = np.full(nfft // 2 + 1, np.sqrt(max(p0, 1e-300) * np.sum(win ** 2)))
-
-    def fit() -> ModulationLpcModel:
-        acf = np.fft.irfft(mbar ** 2, n=nfft)[: order + 1] / wcorr
-        if acf[0] <= 0:
-            return ModulationLpcModel(np.zeros(order), 0.0, order,
-                                      degenerate=True)
-        return levinson(acf, order)
-
-    model = fit()
-    track: list[TrackedModel] = []
-    for s in range(0, amps.size - mlen + 1, inc):
-        if flags[s:s + mlen].all():
-            mag = np.abs(np.fft.rfft(amps[s:s + mlen] * win, n=nfft))
-            mbar = smoothing * mbar + (1.0 - smoothing) * mag
-            model = fit()
-        end = s + mlen - 1
-        first = 0 if s == 0 else end
-        track.append(TrackedModel(model, first, end + inc - 1))
-    track[-1].last_frame = amps.size - 1
-    return track
-
-
 def noise_lpc_grid(noisy_amps, vad, cfg: ModFrameConfig,
                    order: int, smoothing: float = 0.9):
-    """Vectorized counterpart of :func:`noise_lpc_track` over all bins.
+    """AR models of every bin's noise amplitude modulation.
 
-    ``noisy_amps`` is (frames, bins); the flags are shared across bins, so
-    the update schedule is common and the running magnitude spectra can be
-    advanced for every bin at once.  Returns ``(coeffs (S, bins, order),
-    residual (S, bins))``.
+    ``noisy_amps`` is (frames, bins).  Each bin keeps a recursively averaged
+    modulation magnitude spectrum, updated with factor ``smoothing`` only on
+    modulation frames whose acoustic frames are all flagged noise-only in
+    ``vad``; the model is refitted from the inverse DFT of the averaged
+    squared magnitudes.  Before any noise-only frame is seen, the model
+    derives from a flat spectrum scaled to the first few frames.  The flags
+    are shared across bins, so every bin is advanced at once.  Returns
+    ``(coeffs (S, bins, order), residual (S, bins))``, one row per
+    modulation window.
     """
     amps = np.asarray(noisy_amps, dtype=float)
     flags = np.asarray(vad, dtype=bool).ravel()
@@ -332,24 +191,14 @@ def noise_lpc_grid(noisy_amps, vad, cfg: ModFrameConfig,
 def frame_model_index(n_frames: int, cfg: ModFrameConfig, n_windows: int) -> np.ndarray:
     """Which modulation window's model governs each acoustic frame.
 
-    Mirrors the ranges produced by the track builders: window j (starting
-    at j*inc) takes over at its final frame and holds until the next window
-    completes; the first window also covers the warm-up, the last one the
-    tail.
+    Window j (starting at frame j*inc) takes over at its final frame and
+    holds until the next window completes; the first window also covers
+    the warm-up frames before any window is complete, and the last one
+    covers the tail.
     """
     n = np.arange(n_frames)
     idx = (n - cfg.mod_frame_len + 1) // cfg.mod_frame_inc
     return np.clip(idx, 0, n_windows - 1)
-
-
-def models_per_frame(track: list[TrackedModel],
-                     n_frames: int) -> list[ModulationLpcModel]:
-    """Expand a tracked-model list to one governing model per acoustic frame."""
-    out: list[ModulationLpcModel] = [track[0].model] * n_frames
-    for tm in track:
-        for n in range(tm.first_frame, min(tm.last_frame, n_frames - 1) + 1):
-            out[n] = tm.model
-    return out
 
 
 def prediction_gain(clean_amps, predicted_amps) -> np.ndarray:

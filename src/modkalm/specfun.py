@@ -1,48 +1,30 @@
-"""Numerically robust special functions for the amplitude estimators.
+"""Numerically robust special functions for the Gamma-prior posterior.
 
-Provides log-gamma, the half-step gamma ratio, modified Bessel functions of
-the first kind, and the confluent hypergeometric function M(a;b;x).  M grows
-like exp(x) and is consumed only through ratios, so it is returned in
-log-magnitude form (:class:`ScaledValue` for scalars, plain log arrays for
-the vectorized path) and ratios are formed by subtracting logs.
+Provides the half-step gamma ratio Γ(g+½)/Γ(g) and the confluent
+hypergeometric function M(a;b;x).  M grows like exp(x) and is consumed only
+through ratios, so :func:`kummer_m_log` returns its logarithm, elementwise
+over broadcast arrays, and ratios are formed by subtracting logs.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
 
 __all__ = [
-    "ScaledValue",
-    "ln_gamma",
     "gamma_half_ratio",
-    "bessel_i",
-    "kummer_m",
     "kummer_m_log",
 ]
 
 _LN10 = math.log(10.0)
 
-# Supported parameter box for kummer_m.  The estimators call it with
+# Supported parameter box for kummer_m_log.  The estimators call it with
 # a = shape or shape +/- 1/2 (shape capped at 49) and b = 1; the box leaves
 # generous headroom while refusing silent extrapolation.
 _KUMMER_A_MAX = 60.0
 _KUMMER_B_MAX = 60.0
 _KUMMER_X_MAX = 1e12
-
-
-@dataclass(frozen=True)
-class ScaledValue:
-    """A nonzero real stored as ``sign * exp(mantissa_log)``."""
-
-    mantissa_log: float
-    sign: int = 1
-
-    def value(self) -> float:
-        """The represented number; may overflow for huge mantissa_log."""
-        return self.sign * math.exp(self.mantissa_log)
 
 
 def _as_float_array(x, name: str) -> np.ndarray:
@@ -52,19 +34,6 @@ def _as_float_array(x, name: str) -> np.ndarray:
     return arr
 
 
-def _maybe_scalar(out: np.ndarray, scalar_in: bool):
-    return float(out) if scalar_in else out
-
-
-def ln_gamma(x):
-    """Natural log of the gamma function for positive arguments."""
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    arr = _as_float_array(x, "x")
-    if np.any(arr <= 0):
-        raise ValueError("ln_gamma requires x > 0")
-    return _maybe_scalar(_sp.gammaln(arr), scalar)
-
-
 def gamma_half_ratio(g):
     """Gamma(g + 1/2) / Gamma(g) for g > 0.
 
@@ -72,7 +41,6 @@ def gamma_half_ratio(g):
     two nearly equal logs loses precision, so an asymptotic series in 1/g
     takes over there.
     """
-    scalar = np.isscalar(g) or np.ndim(g) == 0
     arr = _as_float_array(g, "g")
     if np.any(arr <= 0):
         raise ValueError("gamma_half_ratio requires g > 0")
@@ -94,20 +62,7 @@ def gamma_half_ratio(g):
                 * (1.0 / 128.0 + inv * (5.0 / 1024.0 + inv * (-21.0 / 32768.0)))
             )
         )
-    return _maybe_scalar(out, scalar)
-
-
-def bessel_i(order: int, x, scaled: bool = False):
-    """Modified Bessel function I_0 or I_1; ``scaled`` gives exp(-|x|)*I."""
-    if order not in (0, 1):
-        raise ValueError("order must be 0 or 1")
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    arr = _as_float_array(x, "x")
-    if order == 0:
-        out = _sp.i0e(arr) if scaled else _sp.i0(arr)
-    else:
-        out = _sp.i1e(arr) if scaled else _sp.i1(arr)
-    return _maybe_scalar(out, scalar)
+    return out
 
 
 def _series_switch(a: np.ndarray) -> np.ndarray:
@@ -204,9 +159,3 @@ def kummer_m_log(a, b: float, x) -> np.ndarray:
             a_flat[use_asym], b, x_flat[use_asym]
         )
     return out.reshape(a_arr.shape)
-
-
-def kummer_m(a: float, b: float, x: float) -> ScaledValue:
-    """Confluent hypergeometric function M(a;b;x) in scaled form."""
-    log_val = kummer_m_log(float(a), float(b), float(x))
-    return ScaledValue(mantissa_log=float(log_val), sign=1)

@@ -72,14 +72,6 @@ class ComplexSpectrogram:
     n_samples: int = field(default=0)
 
     @property
-    def n_frames(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_bins(self) -> int:
-        return self.values.shape[1]
-
-    @property
     def amplitude(self) -> np.ndarray:
         return np.abs(self.values)
 

@@ -1,0 +1,228 @@
+"""Independent per-bin references that the tests compare the package against.
+
+The package runs one batched implementation of each stage.  The scalar
+forms kept here are written differently (one bin, one modulation frame or
+one cell at a time), so agreement between the two is evidence for both:
+
+- :func:`levinson`, :func:`speech_lpc_track`, :func:`noise_lpc_track` and
+  :func:`models_per_frame` are the per-bin oracles for
+  ``lpc.levinson_grid``, ``lpc.speech_lpc_grid``, ``lpc.noise_lpc_grid``
+  and ``lpc.frame_model_index``.
+- :func:`build_transition` assembles the Kalman F, Q and D matrices from
+  two prediction models.
+- :func:`fit_gamma_shape_brentq` solves the Gamma-prior shape equation by
+  bracketing, for ``gamma_update.fit_gamma_prior``'s batched Newton solve.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.optimize import brentq
+
+from modkalm.gamma_update import GAMMA_MAX, GAMMA_MIN, _log_shape_ratio
+from modkalm.lpc import _DIAG_LOAD, ModFrameConfig, autocorrelation
+
+
+@dataclass
+class ModulationLpcModel:
+    """AR model of one modulation frame: predicted a_n = -coeffs . past."""
+
+    coeffs: np.ndarray
+    residual_var: float
+    order: int
+    degenerate: bool = False
+
+    def predict_next(self, recent) -> float:
+        """One-step prediction; ``recent[0]`` is the newest past value."""
+        recent = np.asarray(recent, dtype=float)
+        if recent.size < self.order:
+            raise ValueError("need at least `order` past values")
+        return float(-np.dot(self.coeffs, recent[: self.order]))
+
+
+@dataclass
+class TrackedModel:
+    """A fitted model plus the half-open range of acoustic frames it governs."""
+
+    model: ModulationLpcModel
+    first_frame: int
+    last_frame: int
+
+
+def levinson(r, order: int) -> ModulationLpcModel:
+    """Levinson-Durbin recursion on an autocorrelation vector.
+
+    Falls back to the highest stable order when the recursion hits a
+    non-positive error or a reflection coefficient of magnitude >= 1 (the
+    trailing coefficients stay zero in that case).
+    """
+    r = np.asarray(r, dtype=float).ravel()
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    if r.size < order + 1:
+        raise ValueError("autocorrelation vector too short for requested order")
+    if r[0] <= 0:
+        raise ValueError("r[0] must be positive")
+    if order == 0:
+        return ModulationLpcModel(np.zeros(0), float(r[0]), 0)
+    r = r.copy()
+    r[0] *= 1.0 + _DIAG_LOAD
+    # c holds forward-prediction coefficients: predicted a_n = c . past
+    c = np.zeros(order)
+    err = r[0]
+    for i in range(1, order + 1):
+        acc = r[i] - np.dot(c[: i - 1], r[i - 1:0:-1])
+        k = acc / err
+        if not np.isfinite(k) or abs(k) >= 1.0:
+            break
+        if i > 1:
+            c[: i - 1] -= k * c[i - 2::-1]
+        c[i - 1] = k
+        err *= 1.0 - k * k
+        if err <= 0:
+            err = max(err, 0.0)
+            break
+    return ModulationLpcModel(-c, float(max(err, 0.0)), order)
+
+
+def _compensated_acf(seg: np.ndarray, win: np.ndarray, max_lag: int) -> np.ndarray:
+    # dividing out the window's own biased autocorrelation keeps constants
+    # exactly predictable (the plain windowed ACF would not)
+    r = autocorrelation(seg * win, max_lag)
+    return r / autocorrelation(win, max_lag)
+
+
+def speech_lpc_track(precleaned_amps, cfg: ModFrameConfig,
+                     order: int) -> list[TrackedModel]:
+    """Per-modulation-frame AR models of one bin's pre-cleaned amplitude track.
+
+    A frame's model governs the acoustic frames from its final window
+    position until the next window completes; the first model also covers
+    the warm-up frames before any window is complete.
+    """
+    amps = np.asarray(precleaned_amps, dtype=float).ravel()
+    mlen, inc = cfg.mod_frame_len, cfg.mod_frame_inc
+    if amps.size < mlen:
+        raise ValueError(f"track length {amps.size} < mod_frame_len {mlen}")
+    win = cfg.window_samples()
+    track: list[TrackedModel] = []
+    starts = range(0, amps.size - mlen + 1, inc)
+    for s in starts:
+        seg = amps[s:s + mlen]
+        if not np.any(seg):
+            model = ModulationLpcModel(np.zeros(order), 0.0, order,
+                                       degenerate=True)
+        else:
+            model = levinson(_compensated_acf(seg, win, order), order)
+        end = s + mlen - 1
+        first = 0 if s == 0 else end
+        track.append(TrackedModel(model, first, end + inc - 1))
+    track[-1].last_frame = amps.size - 1
+    return track
+
+
+def noise_lpc_track(noisy_amps, vad, cfg: ModFrameConfig,
+                    order: int, smoothing: float = 0.9) -> list[TrackedModel]:
+    """AR models of one bin's noise amplitude modulation.
+
+    Keeps a recursively averaged modulation magnitude spectrum, updated with
+    factor ``smoothing`` only on modulation frames whose acoustic frames are
+    all flagged noise-only; the model is refitted from the inverse DFT of the
+    averaged squared magnitudes.  Before any noise-only frame is seen the
+    model derives from a flat spectrum scaled to the first few frames.
+    """
+    amps = np.asarray(noisy_amps, dtype=float).ravel()
+    flags = np.asarray(vad, dtype=bool).ravel()
+    if flags.size != amps.size:
+        raise ValueError("vad flags must align with the amplitude track")
+    mlen, inc = cfg.mod_frame_len, cfg.mod_frame_inc
+    if amps.size < mlen:
+        raise ValueError(f"track length {amps.size} < mod_frame_len {mlen}")
+    win = cfg.window_samples()
+    nfft = 2 * mlen
+    # window correlation without the 1/N bias factor, for unit-consistent ACF
+    wcorr = np.array([np.dot(win[: mlen - l], win[l:]) for l in range(order + 1)])
+    # flat-spectrum initialization from the leading frames
+    p0 = float(np.mean(amps[: min(6, amps.size)] ** 2))
+    mbar = np.full(nfft // 2 + 1, np.sqrt(max(p0, 1e-300) * np.sum(win ** 2)))
+
+    def fit() -> ModulationLpcModel:
+        acf = np.fft.irfft(mbar ** 2, n=nfft)[: order + 1] / wcorr
+        if acf[0] <= 0:
+            return ModulationLpcModel(np.zeros(order), 0.0, order,
+                                      degenerate=True)
+        return levinson(acf, order)
+
+    model = fit()
+    track: list[TrackedModel] = []
+    for s in range(0, amps.size - mlen + 1, inc):
+        if flags[s:s + mlen].all():
+            mag = np.abs(np.fft.rfft(amps[s:s + mlen] * win, n=nfft))
+            mbar = smoothing * mbar + (1.0 - smoothing) * mag
+            model = fit()
+        end = s + mlen - 1
+        first = 0 if s == 0 else end
+        track.append(TrackedModel(model, first, end + inc - 1))
+    track[-1].last_frame = amps.size - 1
+    return track
+
+
+def models_per_frame(track: list[TrackedModel],
+                     n_frames: int) -> list[ModulationLpcModel]:
+    """Expand a tracked-model list to one governing model per acoustic frame."""
+    out: list[ModulationLpcModel] = [track[0].model] * n_frames
+    for tm in track:
+        for n in range(tm.first_frame, min(tm.last_frame, n_frames - 1) + 1):
+            out[n] = tm.model
+    return out
+
+
+def build_transition(speech: ModulationLpcModel, noise: ModulationLpcModel):
+    """Assemble (F, Q, D) from the two prediction models.
+
+    F is block-diagonal in the two companion matrices, Q holds the residual
+    variances and D picks out the entries that receive fresh excitation (the
+    current speech amplitude and, when ``noise.order > 0``, the current noise
+    amplitude).  An order-0 noise model yields the speech-only layout.
+    """
+    p, q = speech.order, noise.order
+    if p < 1:
+        raise ValueError("speech model must have order >= 1")
+    n = p + q
+    F = np.zeros((n, n))
+    F[0, :p] = -speech.coeffs
+    F[1:p, : p - 1] += np.eye(p - 1)
+    if q:
+        F[p, p:] = -noise.coeffs
+        F[p + 1 :, p : n - 1] += np.eye(q - 1)
+        Q = np.diag([speech.residual_var, noise.residual_var])
+        D = np.zeros((n, 2))
+        D[0, 0] = 1.0
+        D[p, 1] = 1.0
+    else:
+        Q = np.array([[speech.residual_var]])
+        D = np.zeros((n, 1))
+        D[0, 0] = 1.0
+    return F, Q, D
+
+
+def fit_gamma_shape_brentq(mu: float, var: float) -> tuple[float, float]:
+    """Shape and scale of the Gamma-shaped prior matching (mean, variance),
+    with the shape found by Brent's method on the bracket [1e-3, 49] and
+    clamped at its ends as ``fit_gamma_prior`` does."""
+    second = mu * mu + var
+    log_r = np.log(mu * mu) - np.log(second) if mu > 0 else -np.inf
+    if log_r <= _log_shape_ratio(GAMMA_MIN):
+        g = GAMMA_MIN
+    elif log_r >= _log_shape_ratio(GAMMA_MAX):
+        g = GAMMA_MAX
+    else:
+        g = brentq(
+            lambda t: _log_shape_ratio(t) - float(log_r),
+            GAMMA_MIN,
+            GAMMA_MAX,
+            xtol=1e-13,
+            rtol=8.9e-16,
+        )
+    return float(g), float(np.sqrt(second / g))

@@ -111,6 +111,15 @@ class TestInputContract:
         assert out.shape == (12345,)
         assert not out.any()
 
+    @pytest.mark.parametrize("mode", [Mode.LOGMMSE, Mode.MDKM, Mode.MDKR])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, mode, bad):
+        x = np.random.default_rng(3).standard_normal(8000)
+        x[1234] = bad
+        for run in (enhance, diagnose):
+            with pytest.raises(ValueError, match="1 non-finite samples.*index 1234"):
+                run(x, RATE, EnhancerConfig(mode=mode))
+
     @pytest.mark.parametrize("n", [4000, 12345, 31999])
     def test_length_preserved(self, n):
         rng = np.random.default_rng(n)
@@ -210,3 +219,46 @@ class TestFaultIsolation:
         diag = diagnose(y, RATE, EnhancerConfig(mode=Mode.MDKR))
         assert diag.counters["cell_faults"] >= 40
         assert np.isfinite(diag.enhanced).all()
+
+    def test_singular_update_isolates_rows(self, monkeypatch):
+        # the batched update raises on every frame, so each bin is updated
+        # on its own; one bin's own update raises too
+        real_update, real_predict = enh.update, enh.predict
+        faulty = 7
+        frame = {"n": -1, "row": 0}
+        predicted_from = []     # state rows handed to predict, per frame
+        row_updates = {}        # (frame, bin) -> state row after its update
+
+        def spy_predict(state, *args, **kwargs):
+            predicted_from.append(state.a.copy())
+            frame["n"] += 1
+            return real_predict(state, *args, **kwargs)
+
+        def flaky_update(state, prior, posterior, counters=None):
+            if state.a.ndim == 2:
+                frame["row"] = 0
+                raise np.linalg.LinAlgError("synthetic singular batch")
+            k = frame["row"]
+            frame["row"] += 1
+            if k == faulty:
+                raise np.linalg.LinAlgError("synthetic singular row")
+            out = real_update(state, prior, posterior, counters)
+            row_updates[frame["n"], k] = out.a
+            return out
+
+        monkeypatch.setattr(enh, "predict", spy_predict)
+        monkeypatch.setattr(enh, "update", flaky_update)
+        y = add_white(voiced_babble(12, dur=0.4), 12, 5.0)
+        diag = diagnose(y, RATE, EnhancerConfig(mode=Mode.MDKM))
+
+        n_frames, n_bins = len(predicted_from), predicted_from[0].shape[0]
+        assert np.isfinite(diag.enhanced).all()
+        # the faulty bin is reseeded and counted on every frame; no other
+        # cell faults on this input
+        assert diag.counters["cell_faults"] == n_frames
+        assert all((n, faulty) not in row_updates for n in range(n_frames))
+        # every other bin carries its own update into the next frame
+        carried = [np.array_equal(predicted_from[n + 1][k], row_updates[n, k])
+                   for n in range(n_frames - 1) for k in range(n_bins) if k != faulty]
+        assert len(carried) == (n_frames - 1) * (n_bins - 1)
+        assert all(carried)

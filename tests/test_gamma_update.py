@@ -13,6 +13,8 @@ from modkalm.gamma_update import (
     mdkm_posterior,
     snr_pair,
 )
+from modkalm.specfun import gamma_half_ratio
+from reference import fit_gamma_shape_brentq
 
 
 def prior_density_moments(gamma, beta):
@@ -105,8 +107,9 @@ class TestFitGammaPrior:
             prior = fit_gamma_prior(mu, var)
             if prior.gamma in (GAMMA_MIN, GAMMA_MAX):
                 continue
-            assert prior.amplitude_mean() == pytest.approx(mu, rel=1e-6)
-            assert prior.amplitude_var() == pytest.approx(var, rel=1e-6)
+            mean = prior.beta * gamma_half_ratio(prior.gamma)
+            assert mean == pytest.approx(mu, rel=1e-6)
+            assert prior.gamma * prior.beta ** 2 - mean ** 2 == pytest.approx(var, rel=1e-6)
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(8)
@@ -114,9 +117,9 @@ class TestFitGammaPrior:
         var = rng.uniform(0.02, 3.0, 300) * mu * mu
         batch = fit_gamma_prior(mu, var)
         for i in range(0, 300, 17):
-            single = fit_gamma_prior(float(mu[i]), float(var[i]))
-            assert batch.gamma[i] == pytest.approx(single.gamma, rel=1e-9)
-            assert batch.beta[i] == pytest.approx(single.beta, rel=1e-9)
+            gamma, beta = fit_gamma_shape_brentq(float(mu[i]), float(var[i]))
+            assert batch.gamma[i] == pytest.approx(gamma, rel=1e-9)
+            assert batch.beta[i] == pytest.approx(beta, rel=1e-9)
 
     def test_fit_residual_tolerance(self):
         rng = np.random.default_rng(13)

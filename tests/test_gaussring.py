@@ -10,18 +10,14 @@ from modkalm.gaussring import (
     NakagamiParams,
     RAYLEIGH_GATE,
     RicianParams,
-    SquaredMoments,
+    _product_arrays,
     amplitude_moments,
     build_ring,
-    component_amplitude_moments,
-    mdkr_posterior,
+    mdkr_cell,
     nakagami_from_moments,
-    product_components,
     rice_mean,
     rician_from_nakagami,
-    squared_moments,
 )
-from modkalm.kalman import MomentPair
 
 
 def sample_ring(model: GaussringModel, n: int, rng) -> np.ndarray:
@@ -111,7 +107,6 @@ class TestBuildRing:
         model = build_ring(10.0, 1.0)
         assert model.G == 32
         assert not model.fallback
-        assert model.weight == pytest.approx(1 / 32)
         # centres sit on a circle about the origin
         radii = np.abs(model.means)
         assert np.ptp(radii) < 1e-12
@@ -203,19 +198,16 @@ class TestProductComponents:
     def test_coincident_single_gaussians(self):
         a = GaussringModel(1, np.array([1 + 1j]), 1.0, 0j, True)
         b = GaussringModel(1, np.array([1 + 1j]), 1.0, 1 + 1j, True)
-        comps = product_components(a, b)
-        assert len(comps) == 1
-        w, o, d = comps[0]
-        assert w == pytest.approx(1.0)
-        assert o == pytest.approx(1 + 1j)
+        w, o, d = _product_arrays(a, b)
+        assert len(w) == 1
+        assert w[0] == pytest.approx(1.0)
+        assert o[0] == pytest.approx(1 + 1j)
         assert d == pytest.approx(0.5)
 
     def test_uninformative_noise_leaves_speech_ring(self):
         speech = build_ring(5.0, 1.0)
         noise = GaussringModel(1, np.array([0.7 + 0.2j]), 1e12, 0.7 + 0.2j, True)
-        comps = product_components(speech, noise)
-        ws = np.array([c[0] for c in comps])
-        os_ = np.array([c[1] for c in comps])
+        ws, os_, _ = _product_arrays(speech, noise)
         assert ws == pytest.approx(np.full(speech.G, 1 / speech.G), rel=1e-6)
         assert np.abs(os_ - speech.means).max() < 1e-6
 
@@ -223,17 +215,16 @@ class TestProductComponents:
         rng = np.random.default_rng(7)
         speech = build_ring(2.9, 1.0)  # 10 components
         noise = build_ring(2.0, 1.0, center=rng.uniform(-2, 2) + 1j * rng.uniform(-2, 2))
-        comps = product_components(speech, noise)
+        ws, _, _ = _product_arrays(speech, noise)
         # independent linear-space evaluation of the pairwise weights
         dsum = speech.var + noise.var
-        raw = np.empty(len(comps))
+        raw = np.empty(len(ws))
         k = 0
         for om in speech.means:
             for on in noise.means:
                 raw[k] = np.exp(-abs(om - on) ** 2 / dsum) / (np.pi * dsum * speech.G * noise.G)
                 k += 1
         raw /= raw.sum()
-        ws = np.array([c[0] for c in comps])
         assert np.abs(ws - raw).max() < 1e-10
         assert ws.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -241,87 +232,8 @@ class TestProductComponents:
         a = GaussringModel(1, np.array([0j]), 1.0, 0j, True)
         b = GaussringModel(1, np.array([1e200 + 0j]), 1.0, 1e200 + 0j, True)
         with pytest.warns(UserWarning):
-            comps = product_components(a, b)
-        assert comps[0][0] == pytest.approx(1.0)
-
-
-class TestSquaredMoments:
-    def test_central_case(self):
-        sq = squared_moments(0j, 1.0, 0j)
-        assert sq.mu_sq == pytest.approx([1.0, 1.0])
-        assert np.diag(sq.sigma_sq) == pytest.approx([1.0, 1.0])
-        assert sq.rho == pytest.approx(1.0)
-
-    def test_central_case_against_sampling(self):
-        rng = np.random.default_rng(11)
-        n = 1_000_000
-        s = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(0.5)
-        sq = squared_moments(0j, 1.0, 0j)
-        a2 = np.abs(s) ** 2
-        assert a2.mean() == pytest.approx(sq.mu_sq[0], rel=0.01)
-        assert a2.var() == pytest.approx(sq.sigma_sq[0, 0], rel=0.01)
-
-    def test_noise_component_at_zero(self):
-        sq = squared_moments(2 - 1j, 0.7, 2 - 1j)
-        assert sq.mu_sq[1] == pytest.approx(0.7)
-
-    def test_generic_against_sampling(self):
-        o, z, delta = 1 + 2j, 3 + 0j, 0.5
-        rng = np.random.default_rng(19)
-        n = 1_000_000
-        s = o + (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(delta / 2)
-        u1, u2 = np.abs(s) ** 2, np.abs(s - z) ** 2
-        sq = squared_moments(o, delta, z)
-        assert u1.mean() == pytest.approx(sq.mu_sq[0], rel=0.01)
-        assert u2.mean() == pytest.approx(sq.mu_sq[1], rel=0.01)
-        assert u1.var() == pytest.approx(sq.sigma_sq[0, 0], rel=0.01)
-        assert u2.var() == pytest.approx(sq.sigma_sq[1, 1], rel=0.01)
-        cov = np.cov(u1, u2)[0, 1]
-        assert cov == pytest.approx(sq.sigma_sq[0, 1], rel=0.01)
-
-    def test_rejects_nonpositive_variance(self):
-        with pytest.raises(ValueError):
-            squared_moments(0j, 0.0, 0j)
-
-
-class TestComponentAmplitudeMoments:
-    def test_rayleigh_shape(self):
-        sq = squared_moments(0j, 2.0, 0j)  # m = 1, Omega = 2
-        mu, Sigma = component_amplitude_moments(sq)
-        assert mu[0] == pytest.approx(np.sqrt(np.pi / 2), rel=1e-12)
-        assert Sigma[0, 0] == pytest.approx(2 - np.pi / 2, rel=1e-12)
-
-    def test_concentrated_shape(self):
-        sq = SquaredMoments(
-            mu_sq=np.array([101.0, 101.0]),
-            sigma_sq=np.array([[404.0, 0.0], [0.0, 404.0]]),
-        )
-        mu, _ = component_amplitude_moments(sq)
-        assert mu[0] == pytest.approx(10.0, rel=0.01)
-
-    def test_degenerate_variance(self):
-        sq = SquaredMoments(
-            mu_sq=np.array([4.0, 9.0]), sigma_sq=np.zeros((2, 2))
-        )
-        mu, Sigma = component_amplitude_moments(sq)
-        assert mu == pytest.approx([2.0, 3.0])
-        assert Sigma == pytest.approx(np.zeros((2, 2)))
-
-    def test_pipeline_against_sampling(self):
-        o, z, delta = 2 + 1j, 1 - 2j, 0.8
-        rng = np.random.default_rng(23)
-        n = 1_000_000
-        s = o + (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(delta / 2)
-        a1, a2 = np.abs(s), np.abs(s - z)
-        mu, Sigma = component_amplitude_moments(squared_moments(o, delta, z))
-        # means track truth closely; variances pick up a several-percent bias
-        # from fitting the amplitude law through its squared moments
-        assert a1.mean() == pytest.approx(mu[0], rel=0.02)
-        assert a2.mean() == pytest.approx(mu[1], rel=0.02)
-        assert a1.var() == pytest.approx(Sigma[0, 0], rel=0.08)
-        assert a2.var() == pytest.approx(Sigma[1, 1], rel=0.08)
-        cov = np.cov(a1, a2)[0, 1]
-        assert cov == pytest.approx(Sigma[0, 1], abs=0.08 * np.sqrt(Sigma[0, 0] * Sigma[1, 1]))
+            ws, _, _ = _product_arrays(a, b)
+        assert ws[0] == pytest.approx(1.0)
 
 
 def polar_cross_moment(o, delta, z):
@@ -410,10 +322,6 @@ class TestAmplitudeMoments:
 
 
 class TestMdkrPosterior:
-    @staticmethod
-    def _pair(mu, var):
-        return MomentPair(np.array([mu]), np.array([[var]]))
-
     def test_double_fallback_matches_classical_estimator(self):
         # both ratios far below the gate: the model is exactly one complex
         # Gaussian per side, and the classical Rayleigh-prior MMSE amplitude
@@ -429,8 +337,8 @@ class TestMdkrPosterior:
         dens /= dens.sum()
         ref = (dens * np.abs(S)).sum()
 
-        post = mdkr_posterior(self._pair(mu_s, var_s), self._pair(mu_n, var_n), z)
-        assert post.mu[0] == pytest.approx(ref, rel=1e-3)
+        post_mu, post_sigma = mdkr_cell(mu_s, var_s, mu_n, var_n, z)
+        assert post_mu[0] == pytest.approx(ref, rel=1e-3)
 
     def test_double_fallback_larger_observation(self):
         # the same single-Gaussian model farther from the origin, where |S|
@@ -446,13 +354,13 @@ class TestMdkrPosterior:
         dens = np.exp(-np.abs(S) ** 2 / sp_O - np.abs(S - z) ** 2 / nz_O)
         dens /= dens.sum()
         ref = (dens * np.abs(S)).sum()
-        post = mdkr_posterior(self._pair(mu_s, var_s), self._pair(mu_n, var_n), z)
-        assert post.mu[0] == pytest.approx(ref, rel=1e-3)
+        post_mu, post_sigma = mdkr_cell(mu_s, var_s, mu_n, var_n, z)
+        assert post_mu[0] == pytest.approx(ref, rel=1e-3)
 
     def test_zero_observation_symmetric_priors(self):
-        post = mdkr_posterior(self._pair(3.0, 1.0), self._pair(3.0, 1.0), 0j)
-        assert post.mu[0] == pytest.approx(post.mu[1], rel=1e-10)
-        assert post.sigma[0, 0] == pytest.approx(post.sigma[1, 1], rel=1e-10)
+        post_mu, post_sigma = mdkr_cell(3.0, 1.0, 3.0, 1.0, 0j)
+        assert post_mu[0] == pytest.approx(post_mu[1], rel=1e-10)
+        assert post_sigma[0, 0] == pytest.approx(post_sigma[1, 1], rel=1e-10)
 
     def test_concentrated_rings_match_grid_oracle(self):
         rng = np.random.default_rng(29)
@@ -462,10 +370,10 @@ class TestMdkrPosterior:
             v1, v2 = (mu1 / r1) ** 2, (mu2 / r2) ** 2
             z = rng.uniform(0.5, 6.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
             om, osig = product_grid_oracle(build_ring(mu1, v1), build_ring(mu2, v2, z), z)
-            post = mdkr_posterior(self._pair(mu1, v1), self._pair(mu2, v2), z)
-            assert np.abs(post.mu - om).max() / om.min() < 0.02
+            post_mu, post_sigma = mdkr_cell(mu1, v1, mu2, v2, z)
+            assert np.abs(post_mu - om).max() / om.min() < 0.02
             scale = np.sqrt(np.outer(np.diag(osig), np.diag(osig)))
-            assert (np.abs(post.sigma - osig) / scale).max() < 0.02
+            assert (np.abs(post_sigma - osig) / scale).max() < 0.02
 
     def test_near_gate_rings_match_grid_oracle_loosely(self):
         # close to the Rayleigh gate the rings are few and wide, so the
@@ -478,33 +386,29 @@ class TestMdkrPosterior:
             v1, v2 = (mu1 / r1) ** 2, (mu2 / r2) ** 2
             z = rng.uniform(0.5, 5.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
             om, osig = product_grid_oracle(build_ring(mu1, v1), build_ring(mu2, v2, z), z)
-            post = mdkr_posterior(self._pair(mu1, v1), self._pair(mu2, v2), z)
-            assert np.abs(post.mu - om).max() / om.min() < 0.02
+            post_mu, post_sigma = mdkr_cell(mu1, v1, mu2, v2, z)
+            assert np.abs(post_mu - om).max() / om.min() < 0.02
             scale = np.sqrt(np.outer(np.diag(osig), np.diag(osig)))
-            assert (np.abs(post.sigma - osig) / scale).max() < 0.02
+            assert (np.abs(post_sigma - osig) / scale).max() < 0.02
 
     def test_rotation_near_invariance(self):
-        base = mdkr_posterior(self._pair(4.0, 0.8), self._pair(2.5, 0.5), 2.0 + 1.0j)
+        base_mu, base_sigma = mdkr_cell(4.0, 0.8, 2.5, 0.5, 2.0 + 1.0j)
         for ang in (0.7, 2.1, 4.4):
-            rot = mdkr_posterior(
-                self._pair(4.0, 0.8), self._pair(2.5, 0.5), (2.0 + 1.0j) * np.exp(1j * ang)
-            )
-            assert np.abs(rot.mu - base.mu).max() / base.mu.max() < 5e-3
-            assert np.abs(rot.sigma - base.sigma).max() / np.abs(base.sigma).max() < 5e-3
+            rot_mu, rot_sigma = mdkr_cell(4.0, 0.8, 2.5, 0.5,
+                                          (2.0 + 1.0j) * np.exp(1j * ang))
+            assert np.abs(rot_mu - base_mu).max() / base_mu.max() < 5e-3
+            assert np.abs(rot_sigma - base_sigma).max() / np.abs(base_sigma).max() < 5e-3
 
     def test_scale_equivariance(self):
         c = 3.7
-        a = mdkr_posterior(self._pair(2.0, 0.25), self._pair(1.5, 0.16), 1.0 + 2.0j)
-        b = mdkr_posterior(
-            self._pair(2.0 * c, 0.25 * c * c), self._pair(1.5 * c, 0.16 * c * c), (1.0 + 2.0j) * c
-        )
-        assert b.mu == pytest.approx(c * a.mu, rel=1e-9)
-        assert b.sigma == pytest.approx(c * c * a.sigma, rel=1e-9, abs=1e-9 * np.abs(a.sigma).max())
+        a_mu, a_sigma = mdkr_cell(2.0, 0.25, 1.5, 0.16, 1.0 + 2.0j)
+        b_mu, b_sigma = mdkr_cell(2.0 * c, 0.25 * c * c, 1.5 * c, 0.16 * c * c, (1.0 + 2.0j) * c)
+        assert b_mu == pytest.approx(c * a_mu, rel=1e-9)
+        assert b_sigma == pytest.approx(c * c * a_sigma, rel=1e-9, abs=1e-9 * np.abs(a_sigma).max())
 
     def test_posterior_is_psd_and_counts_pruning(self):
         counters = {}
-        post = mdkr_posterior(
-            self._pair(8.0, 0.16), self._pair(6.0, 0.09), 10.0 + 0j, counters=counters
-        )
-        assert np.linalg.eigvalsh(post.sigma).min() >= 0
+        post_mu, post_sigma = mdkr_cell(8.0, 0.16, 6.0, 0.09, 10.0 + 0j,
+                                        counters=counters)
+        assert np.linalg.eigvalsh(post_sigma).min() >= 0
         assert counters.get("components_pruned", 0) > 0

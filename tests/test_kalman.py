@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from modkalm.kalman import KalmanState, MomentPair, build_transition, predict, psd_project, update
-from modkalm.lpc import ModulationLpcModel
+from modkalm.kalman import KalmanState, MomentPair, predict, psd_project, update
+from reference import ModulationLpcModel, build_transition
 
 
 def random_spd(rng, n, scale=1.0):

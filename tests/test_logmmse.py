@@ -143,7 +143,7 @@ class TestEnhance:
         spec = analyze(np.sin(2 * np.pi * 440 * t))
         trk = NoiseTrack(
             psd=np.full(spec.values.shape, 1e-20),
-            vad=np.zeros(spec.n_frames, bool),
+            vad=np.zeros(spec.values.shape[0], bool),
         )
         out = logmmse_enhance(spec, trk)
         assert np.allclose(out, spec.amplitude, rtol=1e-9, atol=1e-12)
@@ -165,7 +165,7 @@ class TestEnhance:
         rng = np.random.default_rng(3)
         spec = analyze(rng.standard_normal(CFG.sample_rate))
         trk = NoiseTrack(
-            psd=np.ones((3, spec.n_bins)), vad=np.zeros(3, bool)
+            psd=np.ones((3, spec.values.shape[1])), vad=np.zeros(3, bool)
         )
         with pytest.raises(ValueError):
             logmmse_enhance(spec, trk)

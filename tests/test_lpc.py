@@ -5,16 +5,18 @@ from scipy.signal import lfilter
 
 from modkalm.lpc import (
     ModFrameConfig,
-    ModulationLpcModel,
     autocorrelation,
     frame_model_index,
-    levinson,
     levinson_grid,
-    models_per_frame,
     noise_lpc_grid,
-    noise_lpc_track,
     prediction_gain,
     speech_lpc_grid,
+)
+from reference import (
+    ModulationLpcModel,
+    levinson,
+    models_per_frame,
+    noise_lpc_track,
     speech_lpc_track,
 )
 

@@ -65,7 +65,7 @@ class TestAnalyze:
         flen, inc = CFG.frame_len, CFG.frame_inc
         xp = np.concatenate([np.zeros(flen), x,
                              np.zeros(flen + (-(x.size + flen)) % inc)])
-        for n in [0, 5, 17, spect.n_frames - 1]:
+        for n in [0, 5, 17, spect.values.shape[0] - 1]:
             seg = xp[n * inc:n * inc + flen] * win
             two_sided = (np.abs(spect.values[n, 0]) ** 2
                          + 2 * np.sum(np.abs(spect.values[n, 1:-1]) ** 2)
@@ -172,5 +172,5 @@ class TestWavIo:
 def test_spectrogram_accessors():
     spect = analyze(np.ones(1000), CFG)
     assert isinstance(spect, ComplexSpectrogram)
-    assert spect.amplitude.shape == (spect.n_frames, spect.n_bins)
+    assert spect.amplitude.shape == spect.phase.shape == spect.values.shape
     assert spect.n_samples == 1000
