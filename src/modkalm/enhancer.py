@@ -111,16 +111,16 @@ class Diagnostics:
 
 def enhance(samples, rate: int, cfg: EnhancerConfig = EnhancerConfig()) -> np.ndarray:
     """Enhanced time-domain signal, same length as the input."""
-    return _run(samples, rate, cfg, capture=False).enhanced
+    return diagnose(samples, rate, cfg).enhanced
 
 
 def diagnose(samples, rate: int, cfg: EnhancerConfig = EnhancerConfig()) -> Diagnostics:
     """Run the pipeline while recording component counts, model gains and
     all clamp/fault counters."""
-    return _run(samples, rate, cfg, capture=True)
+    return _run(samples, rate, cfg)
 
 
-def _run(samples, rate: int, cfg: EnhancerConfig, capture: bool) -> Diagnostics:
+def _run(samples, rate: int, cfg: EnhancerConfig) -> Diagnostics:
     x = np.asarray(samples, dtype=float).ravel()
     if x.size == 0:
         raise ValueError("signal is empty")
@@ -146,9 +146,7 @@ def _run(samples, rate: int, cfg: EnhancerConfig, capture: bool) -> Diagnostics:
         amps_hat = pre
         g_s = g_n = gains = None
     else:
-        amps_hat, g_s, g_n, gains = _kalman_amplitudes(
-            spec, noise, pre, cfg, counters, capture
-        )
+        amps_hat, g_s, g_n, gains = _kalman_amplitudes(spec, noise, pre, cfg, counters)
     out = synthesize(amps_hat, spec.phase, fcfg, n_samples=x.size)
     return Diagnostics(out, cfg.mode, counters, g_s, g_n, gains)
 
@@ -175,7 +173,7 @@ def _init_rows(amp0, psd0, p: int, q: int, diffuse: float):
 
 
 def _kalman_amplitudes(spec, noise: NoiseTrack, pre, cfg: EnhancerConfig,
-                       counters: dict, capture: bool):
+                       counters: dict):
     amps = spec.amplitude
     zvals = spec.values
     n_frames, n_bins = amps.shape
@@ -209,10 +207,9 @@ def _kalman_amplitudes(spec, noise: NoiseTrack, pre, cfg: EnhancerConfig,
     Q = np.zeros((n_bins, d_exc, d_exc))
 
     amps_hat = np.empty_like(amps)
-    g_speech = np.zeros((n_frames, n_bins), dtype=np.int16) if capture and q else None
-    g_noise = np.zeros((n_frames, n_bins), dtype=np.int16) if capture and q else None
-
-    info: dict | None = {} if capture else None
+    g_speech = np.zeros((n_frames, n_bins), dtype=np.int16) if q else None
+    g_noise = np.zeros((n_frames, n_bins), dtype=np.int16) if q else None
+    info: dict = {}
 
     for n in range(n_frames):
         j = jmap[n]
@@ -264,21 +261,15 @@ def _kalman_amplitudes(spec, noise: NoiseTrack, pre, cfg: EnhancerConfig,
                 except (ValueError, FloatingPointError, ZeroDivisionError):
                     bad[k] = True
                     continue
-                if not (np.isfinite(cmu).all() and np.isfinite(csig).all()):
-                    bad[k] = True
-                    continue
                 post_mu[k] = cmu
                 post_sig[k] = csig
-                if capture:
-                    g_speech[n, k] = info["G_speech"]
-                    g_noise[n, k] = info["G_noise"]
+                g_speech[n, k] = info["G_speech"]
+                g_noise[n, k] = info["G_noise"]
         posterior = MomentPair(post_mu, post_sig)
 
-        try:
-            state = update(state, prior, posterior, counters)
-        except np.linalg.LinAlgError:
-            state = _update_isolating(state, prior, posterior, bad, counters)
-
+        # a non-finite posterior or a row the update cannot invert comes back
+        # non-finite and is reset here: the one per-cell fault path
+        state = update(state, prior, posterior, counters)
         row_bad = bad | ~(
             np.isfinite(state.a).all(axis=1)
             & np.isfinite(state.P).all(axis=(1, 2))
@@ -293,32 +284,10 @@ def _kalman_amplitudes(spec, noise: NoiseTrack, pre, cfg: EnhancerConfig,
             tally(counters, "cell_faults", np.count_nonzero(row_bad))
         amps_hat[n] = est
 
-    gains = None
-    if capture:
-        preds = np.zeros_like(pre)
-        for n in range(p, n_frames):
-            hist = pre[n - p:n][::-1]           # newest history first
-            preds[n] = -np.einsum("ki,ik->k", sp_c[jmap[n]], hist)
-        gains = prediction_gain(pre[p:], preds[p:])
+    preds = np.zeros_like(pre)
+    for n in range(p, n_frames):
+        hist = pre[n - p:n][::-1]           # newest history first
+        preds[n] = -np.einsum("ki,ik->k", sp_c[jmap[n]], hist)
+    gains = prediction_gain(pre[p:], preds[p:])
     return amps_hat, g_speech, g_noise, gains
 
-
-def _update_isolating(state: KalmanState, prior: MomentPair,
-                      posterior: MomentPair, bad: np.ndarray,
-                      counters: dict) -> KalmanState:
-    """Per-bin fallback when the batched update hits a singular system."""
-    a = state.a.copy()
-    P = state.P.copy()
-    for k in range(a.shape[0]):
-        row = KalmanState(state.a[k], state.P[k], state.p, state.q)
-        try:
-            upd = update(
-                row,
-                MomentPair(prior.mu[k], prior.sigma[k]),
-                MomentPair(posterior.mu[k], posterior.sigma[k]),
-                counters,
-            )
-            a[k], P[k] = upd.a, upd.P
-        except np.linalg.LinAlgError:
-            bad[k] = True
-    return KalmanState(a, P, state.p, state.q)

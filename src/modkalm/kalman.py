@@ -8,8 +8,10 @@ the conditional-Gaussian transform.
 
 All operations accept an optional leading batch axis on ``a`` and ``P`` so a
 whole frame of frequency bins can be stepped at once; the maths per slice is
-identical to the scalar case.  :func:`tally` is the one helper through which
-every stage adds to the run's counters.
+identical to the scalar case.  :func:`update` takes its ridge, projection
+and failure decisions per row, so no row's result depends on another, and it
+returns a row it cannot invert as NaN instead of raising.  :func:`tally` is
+the one helper through which every stage adds to the run's counters.
 """
 from __future__ import annotations
 
@@ -17,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# eigenvalue below which P is considered indefinite and gets re-projected
+# a row of P whose smallest eigenvalue is below -_PSD_TOL times its largest
+# is indefinite and gets re-projected
 _PSD_TOL = 1e-10
-# condition number above which the 2x2 prior covariance gets regularized
+# condition number above which a row's prior covariance Σ gets regularized
 _COND_LIMIT = 1e12
 _RIDGE = 1e-8
 
@@ -126,9 +129,15 @@ def update(
 
         a + J (μ_post − u),   P + J (Σ_post − Σ) Jᵀ,
 
-    where J stacks the identity on the picked rows and G on the rest.  The
-    result is symmetrized and, if round-off made it indefinite, projected
-    back onto the PSD cone.
+    where J stacks the identity on the picked rows and G on the rest.
+
+    Every decision is per batch row.  A row whose Σ has condition number
+    above 1e12 gets a ridge of 1e-8 × its mean eigenvalue; a row whose Σ is
+    zero or non-finite has no inverse and comes back all NaN, for the caller
+    to reset, so bad values never raise.  A row of the symmetrized result
+    whose smallest eigenvalue is below −1e-10 times its largest is projected
+    back onto the PSD cone.  ``counters["sigma_regularized"]`` and
+    ``counters["psd_projected"]`` count such rows (cells).
     """
     a, P = prior_state.a, prior_state.P
     sel = prior_state.picked()
@@ -137,11 +146,16 @@ def update(
         raise ValueError("moment dimension does not match the state layout")
     rest = np.setdiff1d(np.arange(prior_state.dim), sel)
 
-    Sigma = prior.sigma
-    if np.any(np.linalg.cond(Sigma) > _COND_LIMIT):
-        tr = np.trace(Sigma, axis1=-2, axis2=-1)
-        Sigma = Sigma + (_RIDGE * tr / d)[..., None, None] * np.eye(d)
-        tally(counters, "sigma_regularized")
+    lo, hi = _eig_magnitudes(prior.sigma)
+    dead = ~(np.isfinite(hi) & (hi > 0.0))  # zero or non-finite: no ridge helps
+    ridged = ~dead & ~(hi <= _COND_LIMIT * lo)
+    tally(counters, "sigma_regularized", np.count_nonzero(ridged))
+    tr = np.trace(prior.sigma, axis1=-2, axis2=-1)
+    Sigma = np.where(ridged[..., None, None],
+                     prior.sigma + (_RIDGE * tr / d)[..., None, None] * np.eye(d),
+                     prior.sigma)
+    # a dead row is solved against I so the solve cannot fail, then set to NaN
+    Sigma = np.where(dead[..., None, None], np.eye(d), Sigma)
 
     M = P[..., rest, :][..., :, sel]
     # G = M Σ⁻¹ via a transposed solve so no explicit inverse is formed
@@ -162,11 +176,27 @@ def update(
     P_new[..., rest[:, None], rest[None, :]] += cross @ Gt
 
     P_new = 0.5 * (P_new + np.swapaxes(P_new, -1, -2))
-    eigmin = np.min(np.linalg.eigvalsh(P_new))
-    if eigmin < -_PSD_TOL:
-        P_new = psd_project(P_new)
-        tally(counters, "psd_projected")
+    # eigvalsh raises on NaN, so a non-finite row is tested as zeros
+    finite = np.isfinite(P_new).all(axis=(-2, -1))
+    w = np.linalg.eigvalsh(np.where(finite[..., None, None], P_new, 0.0))
+    indefinite = w[..., 0] < -_PSD_TOL * w[..., -1]
+    if indefinite.any():
+        P_new[indefinite] = psd_project(P_new[indefinite])
+        tally(counters, "psd_projected", np.count_nonzero(indefinite))
+    a_new[dead] = np.nan
+    P_new[dead] = np.nan
     return KalmanState(a_new, P_new, prior_state.p, prior_state.q)
+
+
+def _eig_magnitudes(Sigma: np.ndarray):
+    """Smallest and largest |eigenvalue| of each symmetric 1x1 or 2x2 Σ, in
+    closed form; the largest is non-finite wherever Σ is."""
+    if Sigma.shape[-1] == 1:
+        lam = np.abs(Sigma[..., 0, 0])
+        return lam, lam
+    m = 0.5 * (Sigma[..., 0, 0] + Sigma[..., 1, 1])
+    r = np.hypot(0.5 * (Sigma[..., 0, 0] - Sigma[..., 1, 1]), Sigma[..., 0, 1])
+    return np.abs(np.abs(m) - r), np.abs(m) + r
 
 
 def psd_project(P: np.ndarray) -> np.ndarray:

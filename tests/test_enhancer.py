@@ -6,6 +6,7 @@ from scipy.signal import lfilter
 
 import modkalm.enhancer as enh
 from modkalm.enhancer import Diagnostics, EnhancerConfig, Mode, diagnose, enhance
+from modkalm.kalman import MomentPair
 from modkalm.logmmse import logmmse_enhance, track_noise
 from modkalm.metrics import seg_snr
 from modkalm.stft import analyze, synthesize
@@ -209,9 +210,13 @@ class TestFaultIsolation:
         boom = {"left": 40}
 
         def flaky(*args, **kwargs):
+            # the first 40 cells fail, half by raising, half with NaN moments
             if boom["left"] > 0:
                 boom["left"] -= 1
-                raise FloatingPointError("synthetic cell failure")
+                if boom["left"] % 2:
+                    raise FloatingPointError("synthetic cell failure")
+                mu, sigma = real(*args, **kwargs)
+                return np.full_like(mu, np.nan), sigma
             return real(*args, **kwargs)
 
         monkeypatch.setattr(enh, "mdkr_cell", flaky)
@@ -220,45 +225,56 @@ class TestFaultIsolation:
         assert diag.counters["cell_faults"] >= 40
         assert np.isfinite(diag.enhanced).all()
 
+    @staticmethod
+    def _amplitude_grid(monkeypatch, y, cfg, sigma_fault=None):
+        """Run ``diagnose`` and return it with the amplitude grid handed to
+        synthesis; ``sigma_fault`` edits bin 7's prior Σ (a copy) on its way
+        into every update."""
+        real_update, real_synth = enh.update, enh.synthesize
+        grids = []
+
+        def faulty_update(state, prior, posterior, counters=None):
+            sigma = prior.sigma.copy()
+            sigma[7] = sigma_fault(sigma[7])
+            return real_update(state, MomentPair(prior.mu, sigma), posterior, counters)
+
+        def spy_synth(amps, *args, **kwargs):
+            grids.append(amps.copy())
+            return real_synth(amps, *args, **kwargs)
+
+        monkeypatch.setattr(enh, "synthesize", spy_synth)
+        if sigma_fault is not None:
+            monkeypatch.setattr(enh, "update", faulty_update)
+        diag = diagnose(y, RATE, cfg)
+        monkeypatch.undo()
+        return diag, grids[0]
+
     def test_singular_update_isolates_rows(self, monkeypatch):
-        # the batched update raises on every frame, so each bin is updated
-        # on its own; one bin's own update raises too
-        real_update, real_predict = enh.update, enh.predict
-        faulty = 7
-        frame = {"n": -1, "row": 0}
-        predicted_from = []     # state rows handed to predict, per frame
-        row_updates = {}        # (frame, bin) -> state row after its update
-
-        def spy_predict(state, *args, **kwargs):
-            predicted_from.append(state.a.copy())
-            frame["n"] += 1
-            return real_predict(state, *args, **kwargs)
-
-        def flaky_update(state, prior, posterior, counters=None):
-            if state.a.ndim == 2:
-                frame["row"] = 0
-                raise np.linalg.LinAlgError("synthetic singular batch")
-            k = frame["row"]
-            frame["row"] += 1
-            if k == faulty:
-                raise np.linalg.LinAlgError("synthetic singular row")
-            out = real_update(state, prior, posterior, counters)
-            row_updates[frame["n"], k] = out.a
-            return out
-
-        monkeypatch.setattr(enh, "predict", spy_predict)
-        monkeypatch.setattr(enh, "update", flaky_update)
+        # bin 7's prior Σ is zero on every frame, so the update cannot invert
+        # it: that row alone comes back non-finite and is reset each frame
         y = add_white(voiced_babble(12, dur=0.4), 12, 5.0)
-        diag = diagnose(y, RATE, EnhancerConfig(mode=Mode.MDKM))
-
-        n_frames, n_bins = len(predicted_from), predicted_from[0].shape[0]
+        cfg = EnhancerConfig(mode=Mode.MDKM)
+        ref, ref_grid = self._amplitude_grid(monkeypatch, y, cfg)
+        diag, grid = self._amplitude_grid(monkeypatch, y, cfg, np.zeros_like)
+        assert ref.counters["cell_faults"] == 0
+        assert diag.counters["cell_faults"] == grid.shape[0]
         assert np.isfinite(diag.enhanced).all()
-        # the faulty bin is reseeded and counted on every frame; no other
-        # cell faults on this input
-        assert diag.counters["cell_faults"] == n_frames
-        assert all((n, faulty) not in row_updates for n in range(n_frames))
-        # every other bin carries its own update into the next frame
-        carried = [np.array_equal(predicted_from[n + 1][k], row_updates[n, k])
-                   for n in range(n_frames - 1) for k in range(n_bins) if k != faulty]
-        assert len(carried) == (n_frames - 1) * (n_bins - 1)
-        assert all(carried)
+        others = np.arange(grid.shape[1]) != 7
+        assert np.array_equal(grid[:, others], ref_grid[:, others])
+
+    def test_ill_conditioned_update_isolates_rows(self, monkeypatch):
+        # bin 7's prior Σ is rank-one on every frame: only that row gets the
+        # ridge, and every other bin is untouched by it
+        def rank_one(s):
+            c = np.sqrt(s[0, 0] * s[1, 1])
+            return np.array([[s[0, 0], c], [c, s[1, 1]]])
+
+        y = add_white(voiced_babble(13, dur=0.3), 13, 0.0)
+        cfg = EnhancerConfig(mode=Mode.MDKR)
+        ref, ref_grid = self._amplitude_grid(monkeypatch, y, cfg)
+        diag, grid = self._amplitude_grid(monkeypatch, y, cfg, rank_one)
+        assert "sigma_regularized" not in ref.counters
+        assert diag.counters["sigma_regularized"] == grid.shape[0]
+        assert diag.counters["cell_faults"] == 0
+        others = np.arange(grid.shape[1]) != 7
+        assert np.array_equal(grid[:, others], ref_grid[:, others])

@@ -1,6 +1,8 @@
 """Tests for the state-space predict/update machinery."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modkalm.kalman import KalmanState, MomentPair, predict, psd_project, update
 from reference import ModulationLpcModel, build_transition
@@ -120,6 +122,30 @@ class TestPredict:
         st = KalmanState(np.zeros(3), np.eye(3), 2, 1)
         with pytest.raises(ValueError):
             predict(st, np.eye(4), np.eye(2), np.zeros((4, 2)))
+
+
+ROW_KINDS = ("healthy", "ill", "indefinite", "zero")
+
+
+def mixed_row(rng, kind, p, q):
+    """State a, P, prior (μ, Σ) and posterior (μ, Σ) of one update row:
+    ``healthy``; ``ill`` (picked rows of P nearly parallel, cond(Σ) ~ 1e18);
+    ``indefinite`` (indefinite posterior Σ, so the updated P is too);
+    ``zero`` (prior Σ of zeros, which has no inverse)."""
+    n = p + q
+    sel = [0, p]
+    B = rng.standard_normal((n, n))
+    if kind == "ill":
+        B[p] = 0.7 * B[0] + 1e-9 * rng.standard_normal(n)
+    P = B @ B.T + (0.0 if kind == "ill" else n) * np.eye(n)
+    a = np.abs(rng.standard_normal(n)) + 1.0
+    mu, Sigma = a[sel], P[np.ix_(sel, sel)]
+    mu_post, Sigma_post = mu * rng.uniform(0.5, 1.2, 2), 0.6 * Sigma
+    if kind == "indefinite":
+        Sigma_post = np.diag([1.0, -0.5]) * np.trace(Sigma)
+    if kind == "zero":
+        Sigma = np.zeros((2, 2))
+    return a, P, mu, Sigma, mu_post, Sigma_post
 
 
 def conditioned_on_sum(u, Sigma, y, R):
@@ -255,26 +281,61 @@ class TestUpdate:
         update(st, prior, MomentPair(mu_post, Sigma_post), counters=counters)
         assert counters.get("psd_projected", 0) == 0
 
-    def test_batched_matches_loop(self):
-        rng = np.random.default_rng(71)
-        batch, p, q = 6, 3, 2
-        n = p + q
-        a = np.abs(rng.standard_normal((batch, n))) + 1.0
-        P = np.stack([random_spd(rng, n) for _ in range(batch)])
-        st = KalmanState(a, P, p, q)
+    @pytest.mark.parametrize("rel_eigmin", [-1e-12, -1e-7])
+    def test_projection_decision_is_scale_free(self, rel_eigmin):
+        # picked pair uncoupled from the rest, so the updated P is
+        # blockdiag(Σ_post, P_rest) and its smallest eigenvalue is rel_eigmin
+        # times its largest; P is in amplitude², so scaling it by c scales
+        # the amplitudes by √c and must not change the decision
+        p, q = 2, 1
+        P = np.diag([1.0, 0.7, 0.5])
         sel = [0, p]
-        prior = MomentPair(a[:, sel], P[:, sel][:, :, sel])
-        mu_post = prior.mu * rng.uniform(0.5, 1.2, (batch, 2))
-        Sigma_post = prior.sigma * 0.6
-        out = update(st, prior, MomentPair(mu_post, Sigma_post))
-        for b in range(batch):
+        mu = np.array([1.0, 0.5])
+        post = MomentPair(mu * 0.9, np.diag([1.0, rel_eigmin]))
+        projected = []
+        for c in (1e-4, 1.0, 1e4):
+            counters = {}
+            update(KalmanState(np.sqrt(c) * np.ones(3), c * P, p, q),
+                   MomentPair(np.sqrt(c) * mu, c * P[np.ix_(sel, sel)]),
+                   MomentPair(np.sqrt(c) * post.mu, c * post.sigma), counters)
+            projected.append(counters.get("psd_projected", 0))
+        assert projected in ([0, 0, 0], [1, 1, 1])
+
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(kinds=st.lists(st.sampled_from(ROW_KINDS), max_size=6).flatmap(
+               lambda extra: st.permutations(list(ROW_KINDS) + extra)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_batched_matches_loop(self, kinds, seed):
+        # each row is updated as if it were alone, whatever its neighbours:
+        # healthy rows next to an ill-conditioned Σ, an indefinite updated P
+        # and a zero Σ, which comes back NaN instead of raising
+        rng = np.random.default_rng(seed)
+        p, q = 3, 2
+        a, P, mu, Sigma, mu_post, Sigma_post = (
+            np.stack(col) for col in zip(*(mixed_row(rng, kind, p, q) for kind in kinds)))
+        counters = {}
+        out = update(KalmanState(a, P, p, q), MomentPair(mu, Sigma),
+                     MomentPair(mu_post, Sigma_post), counters)
+        loop_counters = {}
+        for b, kind in enumerate(kinds):
             single = update(
                 KalmanState(a[b], P[b], p, q),
-                MomentPair(prior.mu[b], prior.sigma[b]),
+                MomentPair(mu[b], Sigma[b]),
                 MomentPair(mu_post[b], Sigma_post[b]),
+                loop_counters,
             )
-            assert out.a[b] == pytest.approx(single.a, abs=1e-12)
-            assert out.P[b] == pytest.approx(single.P, abs=1e-12)
+            if kind == "zero":
+                assert np.isnan(out.a[b]).all() and np.isnan(out.P[b]).all()
+                assert np.isnan(single.a).all() and np.isnan(single.P).all()
+                continue
+            if kind == "ill":
+                assert np.linalg.cond(Sigma[b]) > 1e12
+            assert np.array_equal(out.a[b], single.a)
+            assert np.array_equal(out.P[b], single.P)
+            assert np.isfinite(out.a[b]).all() and np.isfinite(out.P[b]).all()
+        assert counters == loop_counters
+        assert counters["sigma_regularized"] == kinds.count("ill")
+        assert counters["psd_projected"] >= kinds.count("indefinite")
 
 
 class TestPsdProject:

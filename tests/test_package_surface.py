@@ -27,9 +27,6 @@ ALLOWED_UNREACHED = {
     # runs once at import, to build the fixed quadrature rule; covered by
     # test_gaussring.py::TestAmplitudeMoments::test_fixed_rule_matches_adaptive_quadrature
     "modkalm.gaussring._cross_rule",
-    # runs only when the batched Kalman update raises LinAlgError; covered by
-    # test_enhancer.py::TestFaultIsolation::test_singular_update_isolates_rows
-    "modkalm.enhancer._update_isolating",
 }
 
 
