@@ -35,7 +35,7 @@ import numpy as np
 from .enhancer import EnhancerConfig, Mode, diagnose
 from .gaussring import DEFAULT_RING_CAP
 from .metrics import seg_snr
-from .stft import read_wav, write_wav
+from .stft import FrameConfig, read_wav, write_wav
 
 log = logging.getLogger("modkalm.cli")
 
@@ -77,12 +77,24 @@ class JobSpec:
     ring_cap: int
 
     def enhancer_config(self, mode: str) -> EnhancerConfig:
-        mod_frames = max(1, round(self.mod_frame_ms / self.inc_ms))
+        for flag, ms in (("--frame-ms", self.frame_ms), ("--inc-ms", self.inc_ms),
+                         ("--mod-frame-ms", self.mod_frame_ms)):
+            if not (np.isfinite(ms) and ms > 0):
+                raise UsageError(f"{flag} must be a positive, finite number of "
+                                 f"milliseconds, got {ms}")
+        try:
+            FrameConfig.from_ms(EnhancerConfig.sample_rate, self.frame_ms, self.inc_ms)
+        except ValueError as err:
+            raise UsageError(f"--frame-ms/--inc-ms give no valid framing: {err}") from err
+        mod_frames = self.mod_frame_ms / self.inc_ms
+        if not np.isfinite(mod_frames):
+            raise UsageError(f"--mod-frame-ms {self.mod_frame_ms} spans more than "
+                             f"any number of --inc-ms {self.inc_ms} hops")
         return EnhancerConfig(
             mode=Mode.parse(mode),
             frame_ms=self.frame_ms,
             inc_ms=self.inc_ms,
-            mod_frames=mod_frames,
+            mod_frames=max(1, round(mod_frames)),
             speech_order=self.p,
             noise_order=self.q,
             ring_cap=self.ring_cap,

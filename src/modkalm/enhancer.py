@@ -18,13 +18,7 @@ from .gamma_update import fit_gamma_prior, mdkm_posterior
 from .gaussring import DEFAULT_RING_CAP, mdkr_cell
 from .kalman import KalmanState, MomentPair, predict, tally, update
 from .logmmse import NoiseTrack, logmmse_enhance, track_noise
-from .lpc import (
-    ModFrameConfig,
-    frame_model_index,
-    noise_lpc_grid,
-    prediction_gain,
-    speech_lpc_grid,
-)
+from .lpc import frame_model_index, noise_lpc_grid, prediction_gain, speech_lpc_grid
 from .stft import FrameConfig, analyze, synthesize
 
 # Relative floors keeping degenerate cells solvable.  The speech floor is
@@ -65,7 +59,7 @@ class EnhancerConfig:
     sample_rate: int = 16000
     frame_ms: float = 32.0
     inc_ms: float = 8.0
-    mod_frames: int = 8           # modulation window length, in acoustic frames
+    mod_frames: int = 8           # modulation window length, in acoustic frames (hop 1)
     speech_order: int = 3
     noise_order: int | None = None  # None -> mode default (0 scalar, 4 joint)
     ring_cap: int = DEFAULT_RING_CAP
@@ -92,9 +86,6 @@ class EnhancerConfig:
 
     def frame_config(self) -> FrameConfig:
         return FrameConfig.from_ms(self.sample_rate, self.frame_ms, self.inc_ms)
-
-    def mod_config(self) -> ModFrameConfig:
-        return ModFrameConfig(mod_frame_len=self.mod_frames, mod_frame_inc=1)
 
 
 @dataclass
@@ -180,12 +171,11 @@ def _kalman_amplitudes(spec, noise: NoiseTrack, pre, cfg: EnhancerConfig,
     p = cfg.speech_order
     q = cfg.resolved_noise_order()
     dim = p + q
-    mcfg = cfg.mod_config()
 
-    sp_c, sp_v = speech_lpc_grid(pre, mcfg, p)
-    jmap = frame_model_index(n_frames, mcfg, sp_c.shape[0])
+    sp_c, sp_v = speech_lpc_grid(pre, cfg.mod_frames, p)
+    jmap = frame_model_index(n_frames, cfg.mod_frames, sp_c.shape[0])
     if q:
-        nz_c, nz_v = noise_lpc_grid(amps, noise.vad, mcfg, q)
+        nz_c, nz_v = noise_lpc_grid(amps, noise.vad, cfg.mod_frames, q)
 
     mean_power = float(np.mean(amps ** 2))
     sfloor = _SPEECH_FLOOR_REL * mean_power + _ABS_FLOOR

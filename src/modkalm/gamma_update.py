@@ -32,20 +32,6 @@ class GammaPrior:
     beta: np.ndarray
 
 
-@dataclass
-class SnrPair:
-    """A-posteriori (zeta = y²/ν²) and a-priori (xi = E(A²)/ν²) ratios."""
-
-    zeta: np.ndarray
-    xi: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.zeta < 0) or np.any(self.xi < 0):
-            raise ValueError("SNRs must be nonnegative")
-        if not (np.all(np.isfinite(self.zeta)) and np.all(np.isfinite(self.xi))):
-            raise ValueError("SNRs must be finite")
-
-
 def _log_shape_ratio(g):
     """ln of f(γ) = Γ²(γ+½) / (γ Γ²(γ)), strictly increasing on (0, ∞)."""
     g = np.asarray(g, dtype=float)
@@ -79,9 +65,9 @@ def fit_gamma_prior(mu, var, counters: dict | None = None) -> GammaPrior:
     """
     mu = np.asarray(mu, dtype=float)
     var = np.asarray(var, dtype=float)
-    if np.any(mu < 0):
+    if (mu < 0).any():
         raise ValueError("mean must be nonnegative")
-    if np.any(var <= 0):
+    if (var <= 0).any():
         raise ValueError("variance must be positive")
 
     second = mu * mu + var
@@ -96,20 +82,9 @@ def fit_gamma_prior(mu, var, counters: dict | None = None) -> GammaPrior:
     gamma[lo] = GAMMA_MIN
     gamma[hi] = GAMMA_MAX
     mid = ~(lo | hi)
-    if np.any(mid):
+    if mid.any():
         gamma[mid] = _solve_gamma_vec(log_r[mid])
     return GammaPrior(gamma, np.sqrt(second / gamma))
-
-
-def snr_pair(prior: GammaPrior, nu2, y) -> SnrPair:
-    """Form the (a-posteriori, a-priori) SNR pair for an observation."""
-    nu2 = np.asarray(nu2, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(nu2 <= 0):
-        raise ValueError("noise power must be positive")
-    if np.any(y < 0):
-        raise ValueError("observed amplitude must be nonnegative")
-    return SnrPair(y * y / nu2, prior.gamma * np.asarray(prior.beta) ** 2 / nu2)
 
 
 def mdkm_posterior(prior: GammaPrior, nu2, y, counters: dict | None = None):
@@ -117,17 +92,30 @@ def mdkm_posterior(prior: GammaPrior, nu2, y, counters: dict | None = None):
 
     The posterior under the Gamma-shaped prior is again of generalized-Gamma
     type tilted by a Bessel factor; its moments reduce to ratios of
-    M(·;1;x) at shapes γ, γ+½, γ+1 with x = ζξ/(γ+ξ).  Evaluated in log
+    M(·;1;x) at shapes γ, γ+½, γ+1 with x = ζξ/(γ+ξ), where ζ = y²/ν² is
+    the a-posteriori and ξ = γβ²/ν² the a-priori SNR.  Evaluated in log
     space so large x cannot overflow.  The variance is the second moment
     minus the squared mean, floored at 1e-12·y² (floor hits are counted).
     A zero observation reports a zero mean with all mass in the variance.
+    A non-positive ν², a negative y, or SNRs that are negative or
+    non-finite raise ``ValueError``.
     """
     gamma = np.asarray(prior.gamma, dtype=float)
-    pair = snr_pair(prior, nu2, y)
-    zeta, xi = np.asarray(pair.zeta), np.asarray(pair.xi)
+    nu2 = np.asarray(nu2, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if (nu2 <= 0).any():
+        raise ValueError("noise power must be positive")
+    if (y < 0).any():
+        raise ValueError("observed amplitude must be nonnegative")
+    zeta = y * y / nu2
+    xi = prior.gamma * np.asarray(prior.beta) ** 2 / nu2
+    if (zeta < 0).any() or (xi < 0).any():
+        raise ValueError("SNRs must be nonnegative")
+    if not (np.isfinite(zeta).all() and np.isfinite(xi).all()):
+        raise ValueError("SNRs must be finite")
     gamma, zeta, xi = np.broadcast_arrays(gamma, zeta, xi)
-    y = np.broadcast_to(np.asarray(y, dtype=float), gamma.shape)
-    nu2 = np.broadcast_to(np.asarray(nu2, dtype=float), gamma.shape)
+    y = np.broadcast_to(y, gamma.shape)
+    nu2 = np.broadcast_to(nu2, gamma.shape)
 
     x = zeta * xi / (gamma + xi)
     big = x >= _X_MAX
@@ -136,16 +124,16 @@ def mdkm_posterior(prior: GammaPrior, nu2, y, counters: dict | None = None):
     )
     ratio_half = np.exp(logm[1] - logm[0])
     ratio_one = np.exp(logm[2] - logm[0])
-    if np.any(big):
+    half = gamma_half_ratio(gamma)
+    if big.any():
         # beyond the box the M-ratios have converged to their leading
         # asymptotics (relative error O(1/x) ≤ 1e-12)
-        half = gamma_half_ratio(gamma)
         ratio_half = np.where(big, np.sqrt(x) / half, ratio_half)
         ratio_one = np.where(big, x / gamma, ratio_one)
 
     # per-dimension posterior scale: β'² = β²ν²/(β²+ν²) = ν²ξ/(γ+ξ)
     scale2 = nu2 * xi / (gamma + xi)
-    mean = gamma_half_ratio(gamma) * np.sqrt(scale2) * ratio_half
+    mean = half * np.sqrt(scale2) * ratio_half
     second = gamma * scale2 * ratio_one
 
     mean = np.where(y > 0, mean, 0.0)

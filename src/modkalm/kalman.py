@@ -144,7 +144,8 @@ def update(
     d = sel.size
     if posterior.mu.shape[-1] != d or prior.mu.shape[-1] != d:
         raise ValueError("moment dimension does not match the state layout")
-    rest = np.setdiff1d(np.arange(prior_state.dim), sel)
+    # the lagged amplitudes: every index but sel = [0] or [0, p]
+    rest = np.r_[1:prior_state.p, prior_state.p + 1:prior_state.dim]
 
     lo, hi = _eig_magnitudes(prior.sigma)
     dead = ~(np.isfinite(hi) & (hi > 0.0))  # zero or non-finite: no ridge helps

@@ -1,20 +1,19 @@
 """Linear-prediction modeling of per-bin spectral-amplitude trajectories.
 
-Each frequency bin's amplitude track is carved into short modulation frames;
-an autoregressive model is fitted per frame for the speech track, while the
-noise track keeps a recursively averaged modulation magnitude spectrum that
-is refreshed only during noise-only intervals.  The coefficient sign follows
-the companion-matrix convention: predicted a_n = -sum_i b_i * a_{n-i}.
+Each frequency bin's amplitude track is carved into Hamming-windowed
+modulation frames of ``mod_frames`` acoustic frames, one starting at every
+acoustic frame (the hop is one frame).  An autoregressive model is fitted
+per modulation frame for the speech track, while the noise track keeps a
+recursively averaged modulation magnitude spectrum that is refreshed only
+during noise-only intervals.  The coefficient sign follows the
+companion-matrix convention: predicted a_n = -sum_i b_i * a_{n-i}.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import get_window
 
 __all__ = [
-    "ModFrameConfig",
     "autocorrelation",
     "levinson_grid",
     "speech_lpc_grid",
@@ -26,24 +25,19 @@ __all__ = [
 # relative diagonal loading applied before the recursion so nearly singular
 # autocorrelations (e.g. constant tracks) stay solvable
 _DIAG_LOAD = 1e-10
+# recursive averaging factor of the noise modulation magnitude spectrum
+NOISE_SMOOTHING = 0.9
 
 
-@dataclass(frozen=True)
-class ModFrameConfig:
-    """Modulation framing in units of acoustic frames."""
-
-    mod_frame_len: int = 8
-    mod_frame_inc: int = 1
-    window: str = "hamming"
-
-    def __post_init__(self):
-        if self.mod_frame_len <= 0:
-            raise ValueError("mod_frame_len must be positive")
-        if not 0 < self.mod_frame_inc <= self.mod_frame_len:
-            raise ValueError("mod_frame_inc must be in (0, mod_frame_len]")
-
-    def window_samples(self) -> np.ndarray:
-        return get_window(self.window, self.mod_frame_len, fftbins=True)
+def _mod_window(amps: np.ndarray, mod_frames: int) -> np.ndarray:
+    """Check a (frames, bins) grid against the modulation frame length and
+    return the periodic Hamming window of one modulation frame."""
+    if amps.ndim != 2:
+        raise ValueError("need a (frames, bins) amplitude grid")
+    if not 0 < mod_frames <= amps.shape[0]:
+        raise ValueError(
+            f"mod_frames {mod_frames} must be in [1, track length {amps.shape[0]}]")
+    return get_window("hamming", mod_frames, fftbins=True)
 
 
 def autocorrelation(seq, max_lag: int) -> np.ndarray:
@@ -97,27 +91,23 @@ def levinson_grid(r: np.ndarray, order: int):
     return -c, np.maximum(err, 0.0)
 
 
-def speech_lpc_grid(precleaned_amps, cfg: ModFrameConfig, order: int):
+def speech_lpc_grid(precleaned_amps, mod_frames: int, order: int):
     """Per-modulation-frame AR fits for every bin of an amplitude grid.
 
     ``precleaned_amps`` is (frames, bins).  Each bin's track is cut into
-    windowed modulation frames of ``cfg.mod_frame_len`` acoustic frames,
-    stepped by ``cfg.mod_frame_inc``, and an AR model is fitted to each.
+    windowed modulation frames of ``mod_frames`` acoustic frames, one
+    starting at every acoustic frame, and an AR model is fitted to each.
     The windowed autocorrelation is divided by the window's own, which
     keeps a constant track exactly predictable.  Returns
-    ``(coeffs (S, bins, order), residual (S, bins))`` where S is the number
-    of modulation windows; all-zero segments come back degenerate
-    (zero coefficients, zero residual).
+    ``(coeffs (S, bins, order), residual (S, bins))`` with
+    S = frames - mod_frames + 1 modulation frames; all-zero segments come
+    back degenerate (zero coefficients, zero residual).
     """
     amps = np.asarray(precleaned_amps, dtype=float)
-    if amps.ndim != 2:
-        raise ValueError("need a (frames, bins) amplitude grid")
-    mlen, inc = cfg.mod_frame_len, cfg.mod_frame_inc
-    if amps.shape[0] < mlen:
-        raise ValueError(f"track length {amps.shape[0]} < mod_frame_len {mlen}")
-    win = cfg.window_samples()
+    win = _mod_window(amps, mod_frames)
+    mlen = mod_frames
     rwin = autocorrelation(win, order)
-    segs = np.lib.stride_tricks.sliding_window_view(amps, mlen, axis=0)[::inc]
+    segs = np.lib.stride_tricks.sliding_window_view(amps, mlen, axis=0)
     S, K = segs.shape[0], segs.shape[1]
     wseg = segs * win
     r = np.empty((S, K, order + 1))
@@ -134,30 +124,26 @@ def speech_lpc_grid(precleaned_amps, cfg: ModFrameConfig, order: int):
     return coeffs, resvar
 
 
-def noise_lpc_grid(noisy_amps, vad, cfg: ModFrameConfig,
-                   order: int, smoothing: float = 0.9):
+def noise_lpc_grid(noisy_amps, vad, mod_frames: int, order: int):
     """AR models of every bin's noise amplitude modulation.
 
-    ``noisy_amps`` is (frames, bins).  Each bin keeps a recursively averaged
-    modulation magnitude spectrum, updated with factor ``smoothing`` only on
-    modulation frames whose acoustic frames are all flagged noise-only in
-    ``vad``; the model is refitted from the inverse DFT of the averaged
-    squared magnitudes.  Before any noise-only frame is seen, the model
-    derives from a flat spectrum scaled to the first few frames.  The flags
-    are shared across bins, so every bin is advanced at once.  Returns
-    ``(coeffs (S, bins, order), residual (S, bins))``, one row per
-    modulation window.
+    ``noisy_amps`` is (frames, bins), cut into modulation frames as in
+    :func:`speech_lpc_grid`.  Each bin keeps a recursively averaged
+    modulation magnitude spectrum, updated with factor
+    :data:`NOISE_SMOOTHING` only on modulation frames whose acoustic frames
+    are all flagged noise-only in ``vad``; the model is refitted from the
+    inverse DFT of the averaged squared magnitudes.  Before any noise-only
+    frame is seen, the model derives from a flat spectrum scaled to the
+    first few frames.  The flags are shared across bins, so every bin is
+    advanced at once.  Returns ``(coeffs (S, bins, order), residual
+    (S, bins))``, one row per modulation frame.
     """
     amps = np.asarray(noisy_amps, dtype=float)
     flags = np.asarray(vad, dtype=bool).ravel()
-    if amps.ndim != 2:
-        raise ValueError("need a (frames, bins) amplitude grid")
+    win = _mod_window(amps, mod_frames)
     if flags.size != amps.shape[0]:
         raise ValueError("vad flags must align with the amplitude grid")
-    mlen, inc = cfg.mod_frame_len, cfg.mod_frame_inc
-    if amps.shape[0] < mlen:
-        raise ValueError(f"track length {amps.shape[0]} < mod_frame_len {mlen}")
-    win = cfg.window_samples()
+    mlen = mod_frames
     nfft = 2 * mlen
     K = amps.shape[1]
     wcorr = np.array([np.dot(win[: mlen - l], win[l:]) for l in range(order + 1)])
@@ -174,31 +160,28 @@ def noise_lpc_grid(noisy_amps, vad, cfg: ModFrameConfig,
         return c, e
 
     coeffs_now, res_now = fit_all()
-    starts = range(0, amps.shape[0] - mlen + 1, inc)
-    S = len(starts)
+    S = amps.shape[0] - mlen + 1
     coeffs = np.empty((S, K, order))
     resvar = np.empty((S, K))
-    for j, s in enumerate(starts):
+    for s in range(S):
         if flags[s:s + mlen].all():
             mag = np.abs(np.fft.rfft(amps[s:s + mlen] * win[:, None], n=nfft, axis=0))
-            mbar = smoothing * mbar + (1.0 - smoothing) * mag.T
+            mbar = NOISE_SMOOTHING * mbar + (1.0 - NOISE_SMOOTHING) * mag.T
             coeffs_now, res_now = fit_all()
-        coeffs[j] = coeffs_now
-        resvar[j] = res_now
+        coeffs[s] = coeffs_now
+        resvar[s] = res_now
     return coeffs, resvar
 
 
-def frame_model_index(n_frames: int, cfg: ModFrameConfig, n_windows: int) -> np.ndarray:
-    """Which modulation window's model governs each acoustic frame.
+def frame_model_index(n_frames: int, mod_frames: int, n_windows: int) -> np.ndarray:
+    """Which modulation frame's model governs each acoustic frame.
 
-    Window j (starting at frame j*inc) takes over at its final frame and
-    holds until the next window completes; the first window also covers
-    the warm-up frames before any window is complete, and the last one
-    covers the tail.
+    Modulation frame j (acoustic frames j .. j + mod_frames - 1) takes over
+    at its final frame and holds for that one frame; the first also covers
+    the warm-up frames before any modulation frame is complete, and the
+    last one covers the tail.
     """
-    n = np.arange(n_frames)
-    idx = (n - cfg.mod_frame_len + 1) // cfg.mod_frame_inc
-    return np.clip(idx, 0, n_windows - 1)
+    return np.clip(np.arange(n_frames) - mod_frames + 1, 0, n_windows - 1)
 
 
 def prediction_gain(clean_amps, predicted_amps) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Framing, windowing, forward STFT and weighted overlap-add inverse.
 
-The analysis applies a periodic tapered window and keeps the one-sided
+The analysis applies a periodic Hamming window and keeps the one-sided
 spectrum; the synthesis applies the window a second time and divides by the
 numerically accumulated squared-window overlap, which makes the round trip
 exact (to rounding) wherever the overlap is complete.  Signals are padded by
@@ -28,12 +28,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FrameConfig:
-    """Acoustic framing parameters; defaults are 16 kHz, 32 ms / 8 ms, Hamming."""
+    """Acoustic framing parameters; defaults are 16 kHz, 32 ms / 8 ms.  The
+    window is always the periodic Hamming window."""
 
     sample_rate: int = 16000
     frame_len: int = 512
     frame_inc: int = 128
-    window: str = "hamming"
 
     def __post_init__(self):
         if self.frame_len <= 0:
@@ -45,12 +45,11 @@ class FrameConfig:
 
     @classmethod
     def from_ms(cls, sample_rate: int, frame_ms: float = 32.0,
-                inc_ms: float = 8.0, window: str = "hamming") -> "FrameConfig":
+                inc_ms: float = 8.0) -> "FrameConfig":
         return cls(
             sample_rate=sample_rate,
             frame_len=int(round(sample_rate * frame_ms / 1000.0)),
             frame_inc=int(round(sample_rate * inc_ms / 1000.0)),
-            window=window,
         )
 
     @property
@@ -60,7 +59,7 @@ class FrameConfig:
     def window_samples(self) -> np.ndarray:
         # periodic form: required for constant squared-window overlap at
         # len/inc = 4
-        return get_window(self.window, self.frame_len, fftbins=True)
+        return get_window("hamming", self.frame_len, fftbins=True)
 
 
 @dataclass
@@ -103,14 +102,13 @@ def analyze(signal, config: FrameConfig = FrameConfig()) -> ComplexSpectrogram:
     return ComplexSpectrogram(values=values, config=config, n_samples=x.size)
 
 
-def synthesize(amplitudes, phases, config: FrameConfig = FrameConfig(),
-               n_samples: int | None = None) -> np.ndarray:
+def synthesize(amplitudes, phases, config: FrameConfig,
+               n_samples: int) -> np.ndarray:
     """Weighted overlap-add reconstruction from amplitude and phase grids.
 
     Inverts :func:`analyze`: the synthesis window is applied again and the
-    accumulation divided by the summed squared window.  ``n_samples`` trims
-    the result to the original signal length; without it the trailing
-    round-up padding (less than one hop) is retained as near-zero samples.
+    accumulation divided by the summed squared window.  The result is
+    trimmed to ``n_samples``, the length of the analyzed signal.
     """
     amp = np.asarray(amplitudes, dtype=float)
     ph = np.asarray(phases, dtype=float)
@@ -137,12 +135,9 @@ def synthesize(amplitudes, phases, config: FrameConfig = FrameConfig(),
     good = norm > 1e-10 * norm.max()
     y[good] /= norm[good]
     y[~good] = 0.0
-    if n_samples is None:
-        end = total - flen
-    else:
-        end = flen + int(n_samples)
-        if end > total:
-            raise ValueError("n_samples exceeds the synthesized extent")
+    end = flen + int(n_samples)
+    if end > total:
+        raise ValueError("n_samples exceeds the synthesized extent")
     return y[flen:end]
 
 

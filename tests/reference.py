@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.signal import get_window
 
 from modkalm.gamma_update import GAMMA_MAX, GAMMA_MIN, _log_shape_ratio
-from modkalm.lpc import _DIAG_LOAD, ModFrameConfig, autocorrelation
+from modkalm.lpc import _DIAG_LOAD, autocorrelation
 
 
 @dataclass
@@ -93,19 +94,20 @@ def _compensated_acf(seg: np.ndarray, win: np.ndarray, max_lag: int) -> np.ndarr
     return r / autocorrelation(win, max_lag)
 
 
-def speech_lpc_track(precleaned_amps, cfg: ModFrameConfig,
-                     order: int) -> list[TrackedModel]:
-    """Per-modulation-frame AR models of one bin's pre-cleaned amplitude track.
+def speech_lpc_track(precleaned_amps, mlen: int, order: int,
+                     inc: int = 1) -> list[TrackedModel]:
+    """Per-modulation-frame AR models of one bin's pre-cleaned amplitude track,
+    on Hamming-windowed modulation frames of ``mlen`` acoustic frames started
+    every ``inc`` frames (the package's hop is 1).
 
     A frame's model governs the acoustic frames from its final window
     position until the next window completes; the first model also covers
     the warm-up frames before any window is complete.
     """
     amps = np.asarray(precleaned_amps, dtype=float).ravel()
-    mlen, inc = cfg.mod_frame_len, cfg.mod_frame_inc
     if amps.size < mlen:
-        raise ValueError(f"track length {amps.size} < mod_frame_len {mlen}")
-    win = cfg.window_samples()
+        raise ValueError(f"track length {amps.size} < mlen {mlen}")
+    win = get_window("hamming", mlen, fftbins=True)
     track: list[TrackedModel] = []
     starts = range(0, amps.size - mlen + 1, inc)
     for s in starts:
@@ -122,9 +124,10 @@ def speech_lpc_track(precleaned_amps, cfg: ModFrameConfig,
     return track
 
 
-def noise_lpc_track(noisy_amps, vad, cfg: ModFrameConfig,
-                    order: int, smoothing: float = 0.9) -> list[TrackedModel]:
-    """AR models of one bin's noise amplitude modulation.
+def noise_lpc_track(noisy_amps, vad, mlen: int, order: int, inc: int = 1,
+                    smoothing: float = 0.9) -> list[TrackedModel]:
+    """AR models of one bin's noise amplitude modulation, framed as in
+    :func:`speech_lpc_track`.
 
     Keeps a recursively averaged modulation magnitude spectrum, updated with
     factor ``smoothing`` only on modulation frames whose acoustic frames are
@@ -136,10 +139,9 @@ def noise_lpc_track(noisy_amps, vad, cfg: ModFrameConfig,
     flags = np.asarray(vad, dtype=bool).ravel()
     if flags.size != amps.size:
         raise ValueError("vad flags must align with the amplitude track")
-    mlen, inc = cfg.mod_frame_len, cfg.mod_frame_inc
     if amps.size < mlen:
-        raise ValueError(f"track length {amps.size} < mod_frame_len {mlen}")
-    win = cfg.window_samples()
+        raise ValueError(f"track length {amps.size} < mlen {mlen}")
+    win = get_window("hamming", mlen, fftbins=True)
     nfft = 2 * mlen
     # window correlation without the 1/N bias factor, for unit-consistent ACF
     wcorr = np.array([np.dot(win[: mlen - l], win[l:]) for l in range(order + 1)])

@@ -71,6 +71,22 @@ class TestEnhanceCommand:
         assert rc == 2
         assert "noise_order" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, extra", [
+        ("--frame-ms", "0", []), ("--frame-ms", "nan", []), ("--frame-ms", "-32", []),
+        ("--frame-ms", "inf", []), ("--frame-ms", "0.01", []),
+        ("--inc-ms", "0", []), ("--inc-ms", "-8", []), ("--inc-ms", "nan", []),
+        ("--inc-ms", "64", []),
+        ("--mod-frame-ms", "inf", []), ("--mod-frame-ms", "0", []),
+        ("--mod-frame-ms", "nan", []), ("--mod-frame-ms", "1e308", ["--inc-ms", "0.05"]),
+    ])
+    def test_bad_framing_flag_is_usage_error(self, wavs, tmp_path, capsys, flag, value,
+                                             extra):
+        rc = main(["enhance", "--mode", "mdkm", flag, value, *extra,
+                   str(wavs / "in.wav"), "-o", str(tmp_path)])
+        assert rc == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "in.enhanced.wav").exists()
+
     def test_missing_input_is_runtime_error(self, tmp_path, capsys):
         rc = main(["enhance", str(tmp_path / "absent.wav"), "-o", str(tmp_path)])
         assert rc == 1

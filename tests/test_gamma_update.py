@@ -8,10 +8,8 @@ from modkalm.gamma_update import (
     GAMMA_MAX,
     GAMMA_MIN,
     GammaPrior,
-    SnrPair,
     fit_gamma_prior,
     mdkm_posterior,
-    snr_pair,
 )
 from modkalm.specfun import gamma_half_ratio
 from reference import fit_gamma_shape_brentq
@@ -140,24 +138,18 @@ class TestFitGammaPrior:
             fit_gamma_prior(1.0, 0.0)
 
 
-class TestSnrPair:
-    def test_values(self):
-        prior = GammaPrior(2.0, 1.5)
-        pair = snr_pair(prior, 0.5, 3.0)
-        assert pair.zeta == pytest.approx(18.0)
-        assert pair.xi == pytest.approx(2.0 * 1.5 ** 2 / 0.5)
-
-    def test_rejects_bad_inputs(self):
-        prior = GammaPrior(1.0, 1.0)
-        with pytest.raises(ValueError):
-            snr_pair(prior, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            snr_pair(prior, 1.0, -1.0)
-        with pytest.raises(ValueError):
-            SnrPair(-0.1, 1.0)
-
-
 class TestMdkmPosterior:
+    def test_rejects_bad_snr_inputs(self):
+        prior = GammaPrior(1.0, 1.0)
+        with pytest.raises(ValueError, match="noise power must be positive"):
+            mdkm_posterior(prior, 0.0, 1.0)
+        with pytest.raises(ValueError, match="observed amplitude must be nonnegative"):
+            mdkm_posterior(prior, 1.0, -1.0)
+        with pytest.raises(ValueError, match="SNRs must be nonnegative"):
+            mdkm_posterior(GammaPrior(-0.1, 1.0), 1.0, 1.0)
+        with pytest.raises(ValueError, match="SNRs must be finite"):
+            mdkm_posterior(GammaPrior(1.0, np.inf), 1.0, 1.0)
+
     def test_zero_observation(self):
         prior = fit_gamma_prior(1.0, 0.5)
         mean, var = mdkm_posterior(prior, 1.0, 0.0)

@@ -4,7 +4,6 @@ import pytest
 from scipy.signal import lfilter
 
 from modkalm.lpc import (
-    ModFrameConfig,
     autocorrelation,
     frame_model_index,
     levinson_grid,
@@ -20,8 +19,10 @@ from reference import (
     speech_lpc_track,
 )
 
-SPEECH_CFG = ModFrameConfig(mod_frame_len=8, mod_frame_inc=1)
-NOISE_CFG = ModFrameConfig(mod_frame_len=8, mod_frame_inc=2)
+MOD_FRAMES = 8
+# the reference noise track's own tests step it by two frames; the package
+# steps by one
+NOISE_HOP = 2
 
 
 class TestAutocorrelation:
@@ -97,7 +98,7 @@ class TestLevinson:
 
 class TestSpeechTrack:
     def test_constant_track_predicts_itself(self):
-        track = speech_lpc_track(np.full(32, 4.2), SPEECH_CFG, 3)
+        track = speech_lpc_track(np.full(32, 4.2), MOD_FRAMES, 3)
         for tm in track:
             got = tm.model.predict_next([4.2, 4.2, 4.2])
             assert got == pytest.approx(4.2, rel=1e-6)
@@ -109,18 +110,17 @@ class TestSpeechTrack:
         # long stationary AR(2) with positive offset, fitted on 64-frame windows
         drive = rng.standard_normal(4000) * 0.05
         x = lfilter([1.0], np.concatenate([[1.0], -b_true]), drive)
-        cfg = ModFrameConfig(mod_frame_len=64, mod_frame_inc=64)
-        track = speech_lpc_track(x, cfg, 2)
+        track = speech_lpc_track(x, 64, 2, inc=64)
         recovered = np.median([tm.model.coeffs for tm in track], axis=0)
         assert np.max(np.abs(recovered - (-b_true))) < 0.1
 
     def test_zero_track_degenerate(self):
-        track = speech_lpc_track(np.zeros(16), SPEECH_CFG, 3)
+        track = speech_lpc_track(np.zeros(16), MOD_FRAMES, 3)
         assert all(tm.model.degenerate for tm in track)
         assert all(tm.model.residual_var == 0.0 for tm in track)
 
     def test_governing_ranges_tile_the_track(self):
-        track = speech_lpc_track(np.arange(1.0, 21.0), SPEECH_CFG, 3)
+        track = speech_lpc_track(np.arange(1.0, 21.0), MOD_FRAMES, 3)
         per_frame = models_per_frame(track, 20)
         assert len(per_frame) == 20
         assert track[0].first_frame == 0
@@ -131,7 +131,7 @@ class TestSpeechTrack:
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            speech_lpc_track(np.ones(4), SPEECH_CFG, 3)
+            speech_lpc_track(np.ones(4), MOD_FRAMES, 3)
 
 
 class TestNoiseTrack:
@@ -145,7 +145,7 @@ class TestNoiseTrack:
         rng = np.random.default_rng(5)
         amps = np.abs(rng.standard_normal(400) + 1j * rng.standard_normal(400))
         vad = np.ones(400, dtype=bool)
-        track = noise_lpc_track(amps, vad, NOISE_CFG, 4)
+        track = noise_lpc_track(amps, vad, MOD_FRAMES, 4, inc=NOISE_HOP)
         resid = np.array([tm.model.residual_var for tm in track])
         late = resid[100:]
         assert late.max() < resid[0]
@@ -161,7 +161,8 @@ class TestNoiseTrack:
         vad = np.ones(400, dtype=bool)
 
         def late_jitter(smoothing):
-            track = noise_lpc_track(amps, vad, NOISE_CFG, 4, smoothing=smoothing)
+            track = noise_lpc_track(amps, vad, MOD_FRAMES, 4, inc=NOISE_HOP,
+                                    smoothing=smoothing)
             resid = np.array([tm.model.residual_var for tm in track])
             late = resid[100:]
             return np.max(np.abs(np.diff(late)) / late[:-1])
@@ -173,7 +174,8 @@ class TestNoiseTrack:
     def test_all_speech_freezes_initial_model(self):
         rng = np.random.default_rng(6)
         amps = np.abs(rng.standard_normal(64)) + 1.0
-        track = noise_lpc_track(amps, np.zeros(64, dtype=bool), NOISE_CFG, 4)
+        track = noise_lpc_track(amps, np.zeros(64, dtype=bool), MOD_FRAMES, 4,
+                                inc=NOISE_HOP)
         first = track[0].model
         assert all(tm.model is first for tm in track)
 
@@ -184,10 +186,9 @@ class TestNoiseTrack:
         envelope = 1.0 + 0.8 * np.sin(2 * np.pi * t * 0.032)  # 4 Hz at 8 ms hop
         amps = envelope * np.abs(rng.standard_normal(n) * 0.1 + 1.0)
         vad = np.ones(n, dtype=bool)
-        long_cfg = ModFrameConfig(mod_frame_len=64, mod_frame_inc=2)
 
         def mean_gain(order):
-            track = noise_lpc_track(amps, vad, long_cfg, order)
+            track = noise_lpc_track(amps, vad, 64, order, inc=2)
             per = models_per_frame(track, n)
             preds = np.array([
                 per[i].predict_next(amps[i - 1::-1][:order])
@@ -202,8 +203,8 @@ class TestNoiseTrack:
         rng = np.random.default_rng(8)
         amps = np.abs(rng.standard_normal(120)) + 0.5
         vad = np.ones(120, dtype=bool)
-        base = noise_lpc_track(amps, vad, NOISE_CFG, 4)
-        scaled = noise_lpc_track(100.0 * amps, vad, NOISE_CFG, 4)
+        base = noise_lpc_track(amps, vad, MOD_FRAMES, 4, inc=NOISE_HOP)
+        scaled = noise_lpc_track(100.0 * amps, vad, MOD_FRAMES, 4, inc=NOISE_HOP)
         for tm_b, tm_s in zip(base, scaled):
             assert tm_s.model.coeffs == pytest.approx(tm_b.model.coeffs,
                                                       rel=1e-9, abs=1e-12)
@@ -212,7 +213,7 @@ class TestNoiseTrack:
 
     def test_vad_length_mismatch(self):
         with pytest.raises(ValueError):
-            noise_lpc_track(np.ones(20), np.ones(10, dtype=bool), NOISE_CFG, 4)
+            noise_lpc_track(np.ones(20), np.ones(10, dtype=bool), MOD_FRAMES, 4)
 
 
 class TestPredictionGain:
@@ -277,9 +278,9 @@ class TestGridFits:
         rng = np.random.default_rng(33)
         amps = self.random_grid(rng)
         amps[:, 3] = 0.0  # a silent bin
-        coeffs, resvar = speech_lpc_grid(amps, SPEECH_CFG, 3)
+        coeffs, resvar = speech_lpc_grid(amps, MOD_FRAMES, 3)
         for k in range(amps.shape[1]):
-            track = speech_lpc_track(amps[:, k], SPEECH_CFG, 3)
+            track = speech_lpc_track(amps[:, k], MOD_FRAMES, 3)
             assert len(track) == coeffs.shape[0]
             for j, tm in enumerate(track):
                 assert coeffs[j, k] == pytest.approx(tm.model.coeffs,
@@ -291,9 +292,9 @@ class TestGridFits:
         rng = np.random.default_rng(34)
         amps = self.random_grid(rng, n=50, k=5)
         vad = rng.uniform(size=50) < 0.6
-        coeffs, resvar = noise_lpc_grid(amps, vad, NOISE_CFG, 4)
+        coeffs, resvar = noise_lpc_grid(amps, vad, MOD_FRAMES, 4)
         for k in range(amps.shape[1]):
-            track = noise_lpc_track(amps[:, k], vad, NOISE_CFG, 4)
+            track = noise_lpc_track(amps[:, k], vad, MOD_FRAMES, 4)
             assert len(track) == coeffs.shape[0]
             for j, tm in enumerate(track):
                 assert coeffs[j, k] == pytest.approx(tm.model.coeffs,
@@ -303,11 +304,24 @@ class TestGridFits:
 
     def test_frame_index_matches_track_ranges(self):
         rng = np.random.default_rng(35)
-        for cfg in (SPEECH_CFG, NOISE_CFG, ModFrameConfig(6, 3)):
+        for mlen in (MOD_FRAMES, 6, 3):
             n = 41
             amps = np.abs(rng.standard_normal(n)) + 0.1
-            track = speech_lpc_track(amps, cfg, 2)
+            track = speech_lpc_track(amps, mlen, 2)
             per_frame = models_per_frame(track, n)
-            idx = frame_model_index(n, cfg, len(track))
+            idx = frame_model_index(n, mlen, len(track))
             for i in range(n):
                 assert per_frame[i] is track[idx[i]].model
+
+    def test_grids_reject_bad_framing(self):
+        amps = np.ones((6, 3))
+        vad = np.ones(6, dtype=bool)
+        for mod_frames in (0, 7):
+            with pytest.raises(ValueError, match="mod_frames"):
+                speech_lpc_grid(amps, mod_frames, 2)
+            with pytest.raises(ValueError, match="mod_frames"):
+                noise_lpc_grid(amps, vad, mod_frames, 2)
+        with pytest.raises(ValueError, match="grid"):
+            speech_lpc_grid(np.ones(6), 4, 2)
+        with pytest.raises(ValueError, match="vad"):
+            noise_lpc_grid(amps, vad[:5], 4, 2)

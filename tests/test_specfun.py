@@ -54,7 +54,7 @@ class TestGammaHalfRatio:
 
     def test_within_tight_bounds(self):
         # sqrt(g - 1/4) < ratio < g / sqrt(g + 1/4) over the working range
-        g = np.concatenate([np.linspace(0.26, 2, 80), np.logspace(0.31, 2, 120)])
+        g = np.concatenate([np.linspace(0.26, 2, 80), np.logspace(0.31, np.log10(60), 120)])
         r = gamma_half_ratio(g)
         assert np.all(r > np.sqrt(g - 0.25))
         assert np.all(r < g / np.sqrt(g + 0.25))
@@ -64,15 +64,19 @@ class TestGammaHalfRatio:
         lo, hi = math.sqrt(9.75), 10.0 / math.sqrt(10.25)
         assert lo < r < hi
 
-    def test_large_argument_branch_is_continuous(self):
-        # the asymptotic branch must agree with extended-precision truth on
-        # both sides of the switchover (log-gamma differencing costs a few
-        # digits near the switch, hence the looser bound)
-        for g in [9.9e3, 1.1e4, 5e5, 1e9, 1e13]:
+    def test_matches_extended_precision_up_to_the_kummer_box(self):
+        # the log-gamma difference is the only form: it must hold its
+        # accuracy up to g = 60, and larger shapes are refused, as
+        # kummer_m_log refuses a > 60
+        for g in [1e-3, 0.3, 2.5, 17.0, 49.0, 59.5, 60.0]:
             want = float(
                 mpmath.exp(mpmath.loggamma(g + 0.5) - mpmath.loggamma(g))
             )
             assert gamma_half_ratio(g) == pytest.approx(want, rel=5e-11)
+        with pytest.raises(ValueError, match="60"):
+            gamma_half_ratio(60.5)
+        with pytest.raises(ValueError):
+            gamma_half_ratio(1e4)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -22,8 +22,11 @@ class TestFrameConfig:
         assert CFG.sample_rate == 16000
         assert CFG.frame_len == 512      # 32 ms
         assert CFG.frame_inc == 128      # 8 ms
-        assert CFG.window == "hamming"
         assert CFG.n_bins == 257
+        # the one window: periodic Hamming
+        n = np.arange(CFG.frame_len)
+        hamming = 0.54 - 0.46 * np.cos(2 * np.pi * n / CFG.frame_len)
+        assert CFG.window_samples() == pytest.approx(hamming, abs=1e-15)
 
     def test_from_ms(self):
         cfg = FrameConfig.from_ms(16000, 32.0, 8.0)
@@ -121,15 +124,20 @@ class TestSynthesize:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            synthesize(np.zeros((4, 257)), np.zeros((5, 257)), CFG)
+            synthesize(np.zeros((4, 257)), np.zeros((5, 257)), CFG, 100)
         with pytest.raises(ValueError):
-            synthesize(np.zeros((4, 100)), np.zeros((4, 100)), CFG)
+            synthesize(np.zeros((4, 100)), np.zeros((4, 100)), CFG, 100)
+
+    def test_n_samples_beyond_extent_rejected(self):
+        spect = analyze(np.ones(3000), CFG)
+        with pytest.raises(ValueError, match="n_samples"):
+            synthesize(spect.amplitude, spect.phase, CFG, spect.n_samples + 2 * CFG.frame_len)
 
     def test_negative_amplitude_rejected(self):
         grid = np.zeros((10, 257))
         grid[3, 5] = -1.0
         with pytest.raises(ValueError):
-            synthesize(grid, np.zeros_like(grid), CFG)
+            synthesize(grid, np.zeros_like(grid), CFG, 100)
 
 
 class TestWavIo:
