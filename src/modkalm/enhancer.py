@@ -65,6 +65,11 @@ class EnhancerConfig:
     ring_cap: int = DEFAULT_RING_CAP
 
     def __post_init__(self):
+        for name in ("frame_ms", "inc_ms"):
+            ms = getattr(self, name)
+            if not (np.isfinite(ms) and ms > 0):
+                raise ValueError(f"{name} must be a positive, finite number of "
+                                 f"milliseconds, got {ms}")
         if self.speech_order < 1:
             raise ValueError("speech_order must be >= 1")
         if self.ring_cap < 1:
@@ -239,22 +244,25 @@ def _kalman_amplitudes(spec, noise: NoiseTrack, pre, cfg: EnhancerConfig,
         else:
             post_mu = mu.copy()
             post_sig = Sigma.copy()
+            # Python floats into each cell: numpy-scalar arithmetic costs
+            # more per operation and rounds the same
+            mu_s, mu_n = mu[:, 0].tolist(), mu[:, 1].tolist()
+            var_s, var_n = Sigma[:, 0, 0].tolist(), Sigma[:, 1, 1].tolist()
+            z_n, skip = zvals[n].tolist(), bad.tolist()
+            gs, gn = [0] * n_bins, [0] * n_bins
             for k in range(n_bins):
-                if bad[k]:
+                if skip[k]:
                     continue
                 try:
-                    cmu, csig = mdkr_cell(
-                        mu[k, 0], Sigma[k, 0, 0], mu[k, 1], Sigma[k, 1, 1],
-                        complex(zvals[n, k]), cap=cfg.ring_cap,
-                        counters=counters, info=info,
-                    )
+                    cmu, csig = mdkr_cell(mu_s[k], var_s[k], mu_n[k], var_n[k], z_n[k],
+                                          cap=cfg.ring_cap, counters=counters, info=info)
                 except (ValueError, FloatingPointError, ZeroDivisionError):
                     bad[k] = True
                     continue
                 post_mu[k] = cmu
                 post_sig[k] = csig
-                g_speech[n, k] = info["G_speech"]
-                g_noise[n, k] = info["G_noise"]
+                gs[k], gn[k] = info["G_speech"], info["G_noise"]
+            g_speech[n], g_noise[n] = gs, gn
         posterior = MomentPair(post_mu, post_sig)
 
         # a non-finite posterior or a row the update cannot invert comes back

@@ -12,6 +12,7 @@ amplitudes, including their covariance.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -25,18 +26,6 @@ RAYLEIGH_GATE = float(np.sqrt(np.pi / (4.0 - np.pi)))
 DEFAULT_RING_CAP = 64
 # product components lighter than this fraction of the heaviest are dropped
 _WEIGHT_PRUNE = 1e-12
-
-
-@dataclass(frozen=True)
-class NakagamiParams:
-    m: float
-    Omega: float
-
-
-@dataclass(frozen=True)
-class RicianParams:
-    alpha: float
-    delta2: float
 
 
 @dataclass
@@ -62,24 +51,6 @@ def _unit_ring(G: int) -> np.ndarray:
     return ring
 
 
-def nakagami_from_moments(mu, var) -> NakagamiParams:
-    """Shape/spread from amplitude mean and variance (lower-bound match)."""
-    if var <= 0:
-        raise ValueError("variance must be positive")
-    if mu < 0:
-        raise ValueError("mean must be nonnegative")
-    Omega = mu * mu + var
-    return NakagamiParams(m=Omega / (4.0 * var), Omega=Omega)
-
-
-def rician_from_nakagami(p: NakagamiParams) -> RicianParams:
-    """Ring radius and per-dimension variance preserving the second moment."""
-    if p.m <= 1.0:
-        raise ValueError("Rician match needs m > 1; use the Rayleigh fallback")
-    alpha2 = p.Omega * np.sqrt(1.0 - 1.0 / p.m)
-    return RicianParams(alpha=float(np.sqrt(alpha2)), delta2=0.5 * (p.Omega - alpha2))
-
-
 def build_ring(mu, var, center: complex = 0j, cap: int = DEFAULT_RING_CAP,
                counters: dict | None = None) -> GaussringModel:
     """Ring mixture matching the amplitude moments (mu, var) about ``center``.
@@ -87,31 +58,37 @@ def build_ring(mu, var, center: complex = 0j, cap: int = DEFAULT_RING_CAP,
     Centres are spaced roughly two component-sigmas apart, G = ⌈πμ/σ⌉.  When
     G exceeds ``cap`` the component variance is widened so the capped ring
     still overlaps itself.  Ratios below the Rayleigh gate collapse to one
-    Gaussian matching E(A²).
+    Gaussian matching E(A²).  Above it the ring is the Rician match of the
+    Nakagami fit (Ω = μ² + σ², m = Ω/4σ² > 1.16 past the gate): radius
+    α = √(Ω√(1 − 1/m)), complex variance δ = Ω − α².  The scalar maths
+    runs on Python floats with ``math``, cheaper than numpy scalars; its
+    ``+ − × ÷``, ``sqrt`` and ``ceil`` round as numpy does, so the rings
+    are bit-identical to a numpy evaluation.
     """
     if var <= 0:
         raise ValueError("variance must be positive")
     if mu < 0:
         raise ValueError("mean must be nonnegative")
-    sigma = np.sqrt(var)
+    sigma = math.sqrt(var)
     if mu / sigma < RAYLEIGH_GATE:
-        Omega = mu * mu + var
         return GaussringModel(
-            G=1, means=np.array([center], dtype=complex), var=float(Omega),
+            G=1, means=np.array([center], dtype=complex), var=mu * mu + var,
             center=complex(center), fallback=True,
         )
-    rice = rician_from_nakagami(nakagami_from_moments(mu, var))
-    G = int(np.ceil(np.pi * mu / sigma))
-    delta = 2.0 * rice.delta2
+    Omega = mu * mu + var
+    alpha2 = Omega * math.sqrt(1.0 - 1.0 / (Omega / (4.0 * var)))
+    alpha = math.sqrt(alpha2)
+    G = math.ceil(math.pi * mu / sigma)
+    delta = Omega - alpha2
     if G > cap:
         G = cap
         # keep adjacent centres ~2 effective sigmas apart: half the chord
         # length becomes the per-dimension deviation
-        half_chord2 = (rice.alpha * np.sin(np.pi / G)) ** 2
-        delta = max(delta, 2.0 * half_chord2)
+        half_chord = alpha * float(np.sin(np.pi / G))
+        delta = max(delta, 2.0 * (half_chord * half_chord))
         tally(counters, "ring_capped")
-    means = center + rice.alpha * _unit_ring(G)
-    return GaussringModel(G=G, means=means, var=float(delta),
+    means = center + alpha * _unit_ring(G)
+    return GaussringModel(G=G, means=means, var=delta,
                           center=complex(center), fallback=False)
 
 
@@ -123,8 +100,8 @@ def _product_arrays(speech: GaussringModel, noise: GaussringModel):
     with np.errstate(over="ignore"):  # huge separations legitimately give -inf
         logw = -np.abs(diff) ** 2 / dsum - np.log(np.pi * dsum) - np.log(speech.G * noise.G)
     logw = logw.ravel()
-    top = np.max(logw)
-    if not np.isfinite(top):
+    top = logw.max()
+    if not math.isfinite(top):
         warnings.warn("all product weights underflowed; using uniform weights")
         w = np.full(logw.size, 1.0 / logw.size)
     else:
@@ -138,7 +115,8 @@ def rice_mean(a2, delta):
     """E|S| for S ~ CN(o, delta) with |o|² = a2 (Rice, BSTJ 1944–45):
     √(πδ/4)·[(1+K)·i0e(K/2) + K·i1e(K/2)] with K = |o|²/δ."""
     K = a2 / delta
-    return np.sqrt(0.25 * np.pi * delta) * ((1.0 + K) * i0e(0.5 * K) + K * i1e(0.5 * K))
+    half = 0.5 * K
+    return np.sqrt(0.25 * np.pi * delta) * ((1.0 + K) * i0e(half) + K * i1e(half))
 
 
 def _cross_rule(n: int):
@@ -168,20 +146,27 @@ def amplitude_moments(o, delta: float, z: complex):
         Cov = (1/2√π) ∫₀^∞ u^{−3/2} C(u)·[E|S| − rice_mean(|o_u|², δ_u)] du.
 
     With u = (c·tanθ)², c = (δ + |o−z|²)^{−½}, the integrand is smooth on
-    [0, π/2] and a fixed Gauss–Legendre rule evaluates it.  Returns arrays
-    ``(mean_a, mean_b, var_a, var_b, cov_ab)``.
+    [0, π/2] and a fixed Gauss–Legendre rule evaluates it.  The two means
+    and the 14 tilted means per entry go through one :func:`rice_mean`
+    call on the concatenated arguments; its operations are elementwise, so
+    each value has the bits that separate calls would give.  Returns
+    arrays ``(mean_a, mean_b, var_a, var_b, cov_ab)``, each contiguous:
+    ``@`` on strided views can sum in another order.
     """
     o = np.asarray(o, dtype=complex)
+    n = o.size
     a2 = np.abs(o) ** 2
     b2 = np.abs(o - z) ** 2
-    mean_a = rice_mean(a2, delta)
-    mean_b = rice_mean(b2, delta)
     inv_c2 = delta + b2
     u = _CROSS_TAN2 / inv_c2[:, None]
-    ud = 1.0 + u * delta
+    u_delta = u * delta
+    ud = 1.0 + u_delta
     tilt = np.exp(-u * b2[:, None] / ud) / ud
-    o_u = (o[:, None] + (u * delta) * z) / ud
-    gap = mean_a[:, None] - rice_mean(np.abs(o_u) ** 2, delta / ud)
+    o_u = (o[:, None] + u_delta * z) / ud
+    means = rice_mean(np.concatenate((a2, b2, (np.abs(o_u) ** 2).ravel())),
+                      np.concatenate((np.full(2 * n, delta), (delta / ud).ravel())))
+    mean_a, mean_b = means[:n], means[n:2 * n]
+    gap = mean_a[:, None] - means[2 * n:].reshape(n, -1)
     cov_ab = np.sqrt(inv_c2) * ((tilt * gap) @ _CROSS_W)
     return (mean_a, mean_b, delta + a2 - mean_a ** 2, delta + b2 - mean_b ** 2,
             cov_ab)
@@ -206,6 +191,10 @@ def mdkr_cell(
     Rician means and second moments, and a cross moment within 1e-6
     relative).  Returns plain ``(mu (2,), Sigma (2,2))`` arrays; ``info``
     (if given) receives the two component counts.
+
+    The enhancer passes Python floats and a Python complex, so the scalar
+    work per cell skips numpy-scalar dispatch; numpy scalars give the
+    same bits, as every operation rounds the same either way.
     """
     speech = build_ring(mu_speech, var_speech, center=0j, cap=cap,
                         counters=counters)
@@ -217,23 +206,24 @@ def mdkr_cell(
     w, means, dprod = _product_arrays(speech, noise)
 
     keep = w > _WEIGHT_PRUNE * w.max()
-    if not np.all(keep):
+    if not keep.all():
         tally(counters, "components_pruned", np.count_nonzero(~keep))
         w, means = w[keep], means[keep]
         w = w / w.sum()
 
     mean_a, mean_b, var_a, var_b, cov_ab = amplitude_moments(means, dprod, z)
-    mu = np.array([w @ mean_a, w @ mean_b])
-    da = mean_a - mu[0]
-    db = mean_b - mu[1]
-    s12 = w @ (cov_ab + da * db)
-    Sigma = np.array([[w @ (var_a + da * da), s12], [s12, w @ (var_b + db * db)]])
+    if w.size == 1:  # w == [1]: the mixture is its one component
+        ma, mb = float(mean_a[0]), float(mean_b[0])
+        s11, s22, s12 = float(var_a[0]), float(var_b[0]), float(cov_ab[0])
+    else:
+        ma, mb = float(w @ mean_a), float(w @ mean_b)
+        da = mean_a - ma
+        db = mean_b - mb
+        s12 = float(w @ (cov_ab + da * db))
+        s11, s22 = float(w @ (var_a + da * da)), float(w @ (var_b + db * db))
+    Sigma = np.array([[s11, s12], [s12, s22]])
     # mixture covariances are PSD up to rounding; only project when rounding
     # actually pushed an eigenvalue negative
-    if (
-        Sigma[0, 0] < 0.0
-        or Sigma[1, 1] < 0.0
-        or Sigma[0, 0] * Sigma[1, 1] < Sigma[0, 1] * Sigma[1, 0]
-    ):
+    if s11 < 0.0 or s22 < 0.0 or s11 * s22 < s12 * s12:
         Sigma = psd_project(Sigma)
-    return mu, Sigma
+    return np.array([ma, mb]), Sigma

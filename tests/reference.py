@@ -12,6 +12,9 @@ one cell at a time), so agreement between the two is evidence for both:
   two prediction models.
 - :func:`fit_gamma_shape_brentq` solves the Gamma-prior shape equation by
   bracketing, for ``gamma_update.fit_gamma_prior``'s batched Newton solve.
+- :func:`nakagami_from_moments` and :func:`rician_from_nakagami` are the
+  two-step Nakagami→Rician match that ``gaussring.build_ring`` evaluates
+  inline.
 """
 from __future__ import annotations
 
@@ -228,3 +231,33 @@ def fit_gamma_shape_brentq(mu: float, var: float) -> tuple[float, float]:
             rtol=8.9e-16,
         )
     return float(g), float(np.sqrt(second / g))
+
+
+@dataclass(frozen=True)
+class NakagamiParams:
+    m: float
+    Omega: float
+
+
+@dataclass(frozen=True)
+class RicianParams:
+    alpha: float
+    delta2: float
+
+
+def nakagami_from_moments(mu, var) -> NakagamiParams:
+    """Shape/spread from amplitude mean and variance (lower-bound match)."""
+    if var <= 0:
+        raise ValueError("variance must be positive")
+    if mu < 0:
+        raise ValueError("mean must be nonnegative")
+    Omega = mu * mu + var
+    return NakagamiParams(m=Omega / (4.0 * var), Omega=Omega)
+
+
+def rician_from_nakagami(p: NakagamiParams) -> RicianParams:
+    """Ring radius and per-dimension variance preserving the second moment."""
+    if p.m <= 1.0:
+        raise ValueError("Rician match needs m > 1; use the Rayleigh fallback")
+    alpha2 = p.Omega * np.sqrt(1.0 - 1.0 / p.m)
+    return RicianParams(alpha=float(np.sqrt(alpha2)), delta2=0.5 * (p.Omega - alpha2))

@@ -7,15 +7,16 @@ from scipy.stats import chi2, rice
 from modkalm.gaussring import (
     DEFAULT_RING_CAP,
     GaussringModel,
-    NakagamiParams,
     RAYLEIGH_GATE,
-    RicianParams,
     _product_arrays,
     amplitude_moments,
     build_ring,
     mdkr_cell,
-    nakagami_from_moments,
     rice_mean,
+)
+from reference import (
+    NakagamiParams,
+    nakagami_from_moments,
     rician_from_nakagami,
 )
 
@@ -412,3 +413,31 @@ class TestMdkrPosterior:
                                         counters=counters)
         assert np.linalg.eigvalsh(post_sigma).min() >= 0
         assert counters.get("components_pruned", 0) > 0
+
+
+class TestScalarBoundary:
+    """The enhancer passes Python floats into each cell; numpy scalars must
+    give the same bytes, counters and component counts."""
+
+    @pytest.mark.parametrize("args, cap, expect", [
+        # both ratios below the gate: a 1×1 product
+        ((0.3, 1.0, 0.4, 2.0, 0.8 + 0.33j), DEFAULT_RING_CAP, {"G": (1, 1)}),
+        # narrow rings far apart in phase: most products are pruned
+        ((8.0, 0.16, 6.0, 0.09, 10.0 + 0j), DEFAULT_RING_CAP, {"pruned": True}),
+        # πμ/σ = 94 and 79: both rings capped at 16
+        ((30.0, 1.0, 25.0, 1.0, 3.0 - 4.0j), 16, {"G": (16, 16), "capped": 2}),
+    ])
+    def test_numpy_scalars_match_python_scalars(self, args, cap, expect):
+        runs = []
+        for real, cplx in ((float, complex), (np.float64, np.complex128)):
+            counters, info = {}, {}
+            mu, sigma = mdkr_cell(*(real(v) for v in args[:4]), cplx(args[4]),
+                                  cap=cap, counters=counters, info=info)
+            runs.append((mu.tobytes(), sigma.tobytes(), counters, info))
+        assert runs[0] == runs[1]
+        _, _, counters, info = runs[0]
+        if "G" in expect:
+            assert (info["G_speech"], info["G_noise"]) == expect["G"]
+        if "pruned" in expect:
+            assert counters.get("components_pruned", 0) > 0
+        assert counters.get("ring_capped", 0) == expect.get("capped", 0)
