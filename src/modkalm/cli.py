@@ -77,11 +77,9 @@ class JobSpec:
     ring_cap: int
 
     def enhancer_config(self, mode: str) -> EnhancerConfig:
-        for flag, ms in (("--frame-ms", self.frame_ms), ("--inc-ms", self.inc_ms),
-                         ("--mod-frame-ms", self.mod_frame_ms)):
-            if not (np.isfinite(ms) and ms > 0):
-                raise UsageError(f"{flag} must be a positive, finite number of "
-                                 f"milliseconds, got {ms}")
+        if not (np.isfinite(self.mod_frame_ms) and self.mod_frame_ms > 0):
+            raise UsageError("--mod-frame-ms must be a positive, finite number of "
+                             f"milliseconds, got {self.mod_frame_ms}")
         try:
             FrameConfig.from_ms(EnhancerConfig.sample_rate, self.frame_ms, self.inc_ms)
         except ValueError as err:

@@ -65,11 +65,7 @@ class EnhancerConfig:
     ring_cap: int = DEFAULT_RING_CAP
 
     def __post_init__(self):
-        for name in ("frame_ms", "inc_ms"):
-            ms = getattr(self, name)
-            if not (np.isfinite(ms) and ms > 0):
-                raise ValueError(f"{name} must be a positive, finite number of "
-                                 f"milliseconds, got {ms}")
+        self.frame_config()
         if self.speech_order < 1:
             raise ValueError("speech_order must be >= 1")
         if self.ring_cap < 1:

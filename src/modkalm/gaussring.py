@@ -212,15 +212,11 @@ def mdkr_cell(
         w = w / w.sum()
 
     mean_a, mean_b, var_a, var_b, cov_ab = amplitude_moments(means, dprod, z)
-    if w.size == 1:  # w == [1]: the mixture is its one component
-        ma, mb = float(mean_a[0]), float(mean_b[0])
-        s11, s22, s12 = float(var_a[0]), float(var_b[0]), float(cov_ab[0])
-    else:
-        ma, mb = float(w @ mean_a), float(w @ mean_b)
-        da = mean_a - ma
-        db = mean_b - mb
-        s12 = float(w @ (cov_ab + da * db))
-        s11, s22 = float(w @ (var_a + da * da)), float(w @ (var_b + db * db))
+    ma, mb = float(w @ mean_a), float(w @ mean_b)
+    da = mean_a - ma
+    db = mean_b - mb
+    s12 = float(w @ (cov_ab + da * db))
+    s11, s22 = float(w @ (var_a + da * da)), float(w @ (var_b + db * db))
     Sigma = np.array([[s11, s12], [s12, s22]])
     # mixture covariances are PSD up to rounding; only project when rounding
     # actually pushed an eigenvalue negative

@@ -46,6 +46,10 @@ class FrameConfig:
     @classmethod
     def from_ms(cls, sample_rate: int, frame_ms: float = 32.0,
                 inc_ms: float = 8.0) -> "FrameConfig":
+        for name, ms in (("frame_ms", frame_ms), ("inc_ms", inc_ms)):
+            if not (np.isfinite(ms) and ms > 0):
+                raise ValueError(f"{name} must be a positive, finite number of "
+                                 f"milliseconds, got {ms}")
         return cls(
             sample_rate=sample_rate,
             frame_len=int(round(sample_rate * frame_ms / 1000.0)),

@@ -1,7 +1,8 @@
 """Record benchmark runs into ``BENCH_<n>.json`` at the repository root.
 
 Runs ``perfbench/run.py --trace 0`` once per workload and seed, each in a
-fresh process, and writes the git hash, the machine, the Python, numpy and
+fresh process, for every workload and the run length that ``BENCHMARK.json``
+declares, and writes the git hash, the machine, the Python, numpy and
 scipy versions, every run's metrics, and the median and quartiles of each
 metric per workload::
 
@@ -29,7 +30,6 @@ import numpy as np
 import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("ring-white", "ring-modulated", "files-scalar")
 
 
 def seed_list(text: str) -> list[int]:
@@ -86,8 +86,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--number", type=int, required=True, help="writes BENCH_<number>.json")
     ap.add_argument("--seeds", type=seed_list, required=True, help='e.g. "1-10" or "1,3,5"')
-    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    ap.add_argument("--seconds", type=float, default=15.0)
     ap.add_argument("--baseline", type=Path, help="checkout to run in alternation")
     args = ap.parse_args(argv)
 
@@ -95,6 +93,7 @@ def main(argv=None) -> int:
     if args.baseline is not None:
         trees["baseline"] = args.baseline.resolve()
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
     lower_better = {m["name"]: m["better"] == "lower" for m in bench["end_to_end"]}
     record = {
         "git": {label: git_hash(tree) for label, tree in trees.items()},
@@ -102,17 +101,17 @@ def main(argv=None) -> int:
                     "cpus": len(os.sched_getaffinity(0)),
                     "python": platform.python_version(), "numpy": np.__version__,
                     "scipy": scipy.__version__},
-        "seconds": args.seconds,
+        "run_seconds": seconds,
         "workloads": {},
     }
     out_path = ROOT / f"BENCH_{args.number}.json"
-    for workload in args.workloads:
+    for workload in (w["name"] for w in bench["workloads"]):
         runs = {label: [] for label in trees}
         entry = record["workloads"][workload] = {}
         for i, seed in enumerate(args.seeds):
             order = list(trees) if i % 2 == 0 else list(trees)[::-1]
             for label in order:
-                run = one_run(trees[label], workload, seed, args.seconds)
+                run = one_run(trees[label], workload, seed, seconds)
                 runs[label].append(run)
                 print(f"{workload} seed {seed} {label}: "
                       + ", ".join(f"{k}={v:.4g}" for k, v in run["metrics"].items()),
