@@ -12,16 +12,21 @@ Two subcommands:
     requested enhancers, and write a segmental-SNR CSV plus a JSON bundle
     of per-run diagnostics.
 
+The argument parser is the one declaration of the options; the enhancer
+settings take their defaults from ``EnhancerConfig``.  A ``key = value``
+config file (``--config``) sets flags by their dest names (``out_dir``,
+``mod_frame_ms``, ``noise``, ...), each value parsed as that flag parses
+it; keys that only the other subcommand has are ignored, and a flag given
+on the command line replaces the file's value.
+
 Exit codes: 0 success, 1 runtime failure (I/O, bad audio), 2 usage error.
-A ``key=value`` config file (``--config``) fills in defaults; explicit
-flags still win.  ``MODKALM_LOG`` sets the log level (default WARNING).
+``MODKALM_LOG`` sets the log level (default WARNING).
 """
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
 import csv
-import dataclasses
 import glob
 import json
 import logging
@@ -33,78 +38,71 @@ from pathlib import Path
 import numpy as np
 
 from .enhancer import EnhancerConfig, Mode, diagnose
-from .gaussring import DEFAULT_RING_CAP
 from .metrics import seg_snr
 from .stft import FrameConfig, read_wav, write_wav
 
 log = logging.getLogger("modkalm.cli")
-
-ALL_MODES = ("logmmse", "mdkm", "mdkr")
-
-# keys a --config file may set; each maps to a parser so bad values fail
-# with a usage message instead of a traceback
-_CONFIG_KEYS = {
-    "mode": str,
-    "p": int,
-    "q": int,
-    "frame_ms": float,
-    "inc_ms": float,
-    "mod_frame_ms": float,
-    "ring_cap": int,
-    "snr": lambda s: [float(v) for v in s.replace(",", " ").split()],
-    "seed": int,
-    "workers": int,
-    "out_dir": str,
-}
-
-
-@dataclasses.dataclass(frozen=True)
-class JobSpec:
-    """Everything one invocation needs, resolved from flags and config."""
-
-    inputs: tuple[str, ...]
-    out_dir: str
-    modes: tuple[str, ...]
-    noise: str | None
-    snrs: tuple[float, ...]
-    seed: int
-    workers: int
-    p: int
-    q: int | None
-    frame_ms: float
-    inc_ms: float
-    mod_frame_ms: float
-    ring_cap: int
-
-    def enhancer_config(self, mode: str) -> EnhancerConfig:
-        if not (np.isfinite(self.mod_frame_ms) and self.mod_frame_ms > 0):
-            raise UsageError("--mod-frame-ms must be a positive, finite number of "
-                             f"milliseconds, got {self.mod_frame_ms}")
-        try:
-            FrameConfig.from_ms(EnhancerConfig.sample_rate, self.frame_ms, self.inc_ms)
-        except ValueError as err:
-            raise UsageError(f"--frame-ms/--inc-ms give no valid framing: {err}") from err
-        mod_frames = self.mod_frame_ms / self.inc_ms
-        if not np.isfinite(mod_frames):
-            raise UsageError(f"--mod-frame-ms {self.mod_frame_ms} spans more than "
-                             f"any number of --inc-ms {self.inc_ms} hops")
-        return EnhancerConfig(
-            mode=Mode.parse(mode),
-            frame_ms=self.frame_ms,
-            inc_ms=self.inc_ms,
-            mod_frames=max(1, round(mod_frames)),
-            speech_order=self.p,
-            noise_order=self.q,
-            ring_cap=self.ring_cap,
-        )
 
 
 class UsageError(ValueError):
     """Bad flag/config combination: report and exit 2."""
 
 
-def _load_config(path: str) -> dict:
-    values = {}
+def _add_shared(ap: argparse.ArgumentParser) -> None:
+    ap.add_argument("-o", "--out-dir", default=".", help="output directory")
+    ap.add_argument("--config", metavar="FILE",
+                    help="key = value file setting flags by dest name; "
+                         "flags given here replace its values")
+    ap.add_argument("--p", type=int, default=EnhancerConfig.speech_order,
+                    help="speech model order")
+    ap.add_argument("--q", type=int, default=EnhancerConfig.noise_order,
+                    help="noise model order (mdkr only; mdkm fixes it at 0)")
+    ap.add_argument("--frame-ms", type=float, default=EnhancerConfig.frame_ms)
+    ap.add_argument("--inc-ms", type=float, default=EnhancerConfig.inc_ms)
+    ap.add_argument("--mod-frame-ms", type=float,
+                    default=EnhancerConfig.mod_frames * EnhancerConfig.inc_ms,
+                    help="modulation analysis window, in milliseconds")
+    ap.add_argument("--ring-cap", type=int, default=EnhancerConfig.ring_cap)
+    ap.add_argument("--seed", type=int, default=0,
+                    help="seed for benchmark noise alignment")
+    ap.add_argument("--workers", type=int, default=1,
+                    help="process count for file-level parallelism")
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    parser = argparse.ArgumentParser(
+        prog="modkalm",
+        description="Modulation-domain Kalman speech enhancement.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    modes = [m.value for m in Mode]
+
+    enh = sub.add_parser("enhance", help="enhance WAV files")
+    enh.add_argument("inputs", nargs="+", metavar="WAV",
+                     help="input files or globs")
+    enh.add_argument("--mode", choices=modes, default=EnhancerConfig.mode.value)
+    _add_shared(enh)
+
+    bench = sub.add_parser("bench", help="mix, enhance, and score")
+    bench.add_argument("inputs", nargs="+", metavar="CLEAN",
+                       help="clean reference files or globs")
+    bench.add_argument("--noise", help="noise WAV to mix in (required; may come "
+                       "from --config)")
+    bench.add_argument("--snr", nargs="+", type=float, default=[0.0],
+                       metavar="DB", help="global SNRs to test")
+    bench.add_argument("--mode", action="append", choices=modes,
+                       default=None,
+                       help="enhancer to run (repeatable; default: all)")
+    _add_shared(bench)
+    return parser, {"enhance": enh, "bench": bench}
+
+
+def _load_config(path: str, subparsers: dict) -> dict:
+    """Per subcommand, a namespace of the values the file sets.  Each line
+    goes through the flag of that dest as if given on the command line."""
+    flags = {name: {a.dest: a for a in sp._actions
+                    if a.option_strings and a.dest not in ("help", "config")}
+             for name, sp in subparsers.items()}
+    values = {name: argparse.Namespace() for name in subparsers}
     try:
         text = Path(path).read_text()
     except OSError as err:
@@ -117,82 +115,60 @@ def _load_config(path: str) -> dict:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _CONFIG_KEYS:
+        owners = [name for name in subparsers if key in flags[name]]
+        if not owners:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            values[key] = _CONFIG_KEYS[key](value.strip())
-        except ValueError as err:
-            raise UsageError(f"{path}:{lineno}: bad value for {key}: {err}") from err
+        for name in owners:
+            sp, action = subparsers[name], flags[name][key]
+            tokens = value.split() if action.nargs == "+" else [value.strip()]
+            if not tokens:
+                raise UsageError(f"{path}:{lineno}: {key} needs a value")
+            try:
+                action(sp, values[name], sp._get_values(action, tokens))
+            except argparse.ArgumentError as err:
+                raise UsageError(f"{path}:{lineno}: {err}") from err
     return values
 
 
-def _add_shared(ap: argparse.ArgumentParser) -> None:
-    ap.add_argument("-o", "--out-dir", default=".", help="output directory")
-    ap.add_argument("--config", metavar="FILE",
-                    help="key=value file providing defaults for any flag")
-    ap.add_argument("--p", type=int, default=3, help="speech model order")
-    ap.add_argument("--q", type=int, default=None,
-                    help="noise model order (mdkr only; mdkm fixes it at 0)")
-    ap.add_argument("--frame-ms", type=float, default=32.0)
-    ap.add_argument("--inc-ms", type=float, default=8.0)
-    ap.add_argument("--mod-frame-ms", type=float, default=64.0,
-                    help="modulation analysis window, in milliseconds")
-    ap.add_argument("--ring-cap", type=int, default=DEFAULT_RING_CAP)
-    ap.add_argument("--seed", type=int, default=0,
-                    help="seed for benchmark noise alignment")
-    ap.add_argument("--workers", type=int, default=1,
-                    help="process count for file-level parallelism")
+def _parse_args(argv) -> argparse.Namespace:
+    """The flags given, over the --config file's values, over the flags'
+    defaults."""
+    parser, subparsers = _build_parser()
+    ns = parser.parse_args(argv)
+    if ns.config is None:
+        return ns
+    from_file = _load_config(ns.config, subparsers)[ns.command]
+    # parsed again without defaults, the namespace holds only the flags given
+    for action in subparsers[ns.command]._actions:
+        action.default = argparse.SUPPRESS
+    given = parser.parse_args(argv)
+    return argparse.Namespace(**{**vars(ns), **vars(from_file), **vars(given)})
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    parser = argparse.ArgumentParser(
-        prog="modkalm",
-        description="Modulation-domain Kalman speech enhancement.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    enh = sub.add_parser("enhance", help="enhance WAV files")
-    enh.add_argument("inputs", nargs="+", metavar="WAV",
-                     help="input files or globs")
-    enh.add_argument("--mode", choices=ALL_MODES, default="mdkr")
-    _add_shared(enh)
-
-    bench = sub.add_parser("bench", help="mix, enhance, and score")
-    bench.add_argument("inputs", nargs="+", metavar="CLEAN",
-                       help="clean reference files or globs")
-    bench.add_argument("--noise", required=True, help="noise WAV to mix in")
-    bench.add_argument("--snr", nargs="+", type=float, default=[0.0],
-                       metavar="DB", help="global SNRs to test")
-    bench.add_argument("--mode", action="append", choices=ALL_MODES,
-                       default=None,
-                       help="enhancer to run (repeatable; default: all)")
-    _add_shared(bench)
-    return parser, {"enhance": enh, "bench": bench}
-
-
-def _job_from_args(ns: argparse.Namespace) -> JobSpec:
-    modes = ns.mode if isinstance(ns.mode, list) else [ns.mode]
-    if modes == [None] or modes is None or not modes:
-        modes = list(ALL_MODES)
-    snrs = tuple(float(v) for v in getattr(ns, "snr", []) or [])
-    if not all(np.isfinite(snrs)):
-        raise UsageError("SNR values must be finite")
-    if ns.workers < 1:
-        raise UsageError("--workers must be at least 1")
-    return JobSpec(
-        inputs=tuple(ns.inputs),
-        out_dir=ns.out_dir,
-        modes=tuple(dict.fromkeys(modes)),
-        noise=getattr(ns, "noise", None),
-        snrs=snrs,
-        seed=ns.seed,
-        workers=ns.workers,
-        p=ns.p,
-        q=ns.q,
-        frame_ms=ns.frame_ms,
-        inc_ms=ns.inc_ms,
-        mod_frame_ms=ns.mod_frame_ms,
-        ring_cap=ns.ring_cap,
-    )
+def _enhancer_config(ns: argparse.Namespace, mode: str) -> EnhancerConfig:
+    if not (np.isfinite(ns.mod_frame_ms) and ns.mod_frame_ms > 0):
+        raise UsageError("--mod-frame-ms must be a positive, finite number of "
+                         f"milliseconds, got {ns.mod_frame_ms}")
+    try:
+        FrameConfig.from_ms(EnhancerConfig.sample_rate, ns.frame_ms, ns.inc_ms)
+    except ValueError as err:
+        raise UsageError(f"--frame-ms/--inc-ms give no valid framing: {err}") from err
+    mod_frames = ns.mod_frame_ms / ns.inc_ms
+    if not np.isfinite(mod_frames):
+        raise UsageError(f"--mod-frame-ms {ns.mod_frame_ms} spans more than "
+                         f"any number of --inc-ms {ns.inc_ms} hops")
+    try:
+        return EnhancerConfig(
+            mode=Mode(mode),
+            frame_ms=ns.frame_ms,
+            inc_ms=ns.inc_ms,
+            mod_frames=max(1, round(mod_frames)),
+            speech_order=ns.p,
+            noise_order=ns.q,
+            ring_cap=ns.ring_cap,
+        )
+    except ValueError as err:
+        raise UsageError(str(err)) from err
 
 
 def _expand(patterns) -> list[str]:
@@ -229,19 +205,12 @@ def _enhance_one(job: tuple) -> str:
     return f"{path} -> {out_path}  {_counters_text(counters)}"
 
 
-def _configs_or_usage(job: JobSpec) -> dict:
-    try:
-        return {mode: job.enhancer_config(mode) for mode in job.modes}
-    except ValueError as err:
-        raise UsageError(str(err)) from err
-
-
-def cmd_enhance(job: JobSpec) -> int:
-    cfg = _configs_or_usage(job)[job.modes[0]]
-    paths = _expand(job.inputs)
-    os.makedirs(job.out_dir, exist_ok=True)
+def cmd_enhance(ns: argparse.Namespace) -> int:
+    cfg = _enhancer_config(ns, ns.mode)
+    paths = _expand(ns.inputs)
+    os.makedirs(ns.out_dir, exist_ok=True)
     lines = _run_jobs(_enhance_one,
-                      [(p, cfg, job.out_dir) for p in paths], job.workers)
+                      [(p, cfg, ns.out_dir) for p in paths], ns.workers)
     for line in lines:
         print(line)
     return 0
@@ -290,19 +259,22 @@ def _bench_one(job: tuple) -> dict:
     return {"row": row, "diag": extra}
 
 
-def cmd_bench(job: JobSpec) -> int:
-    if not job.snrs:
-        raise UsageError("bench needs at least one --snr value")
-    configs = _configs_or_usage(job)
-    paths = _expand(job.inputs)
-    _expand([job.noise])
-    os.makedirs(job.out_dir, exist_ok=True)
+def cmd_bench(ns: argparse.Namespace) -> int:
+    if ns.noise is None:
+        raise UsageError("bench needs --noise (a flag or a config key)")
+    if not all(np.isfinite(ns.snr)):
+        raise UsageError("SNR values must be finite")
+    modes = dict.fromkeys(ns.mode or [m.value for m in Mode])
+    configs = {mode: _enhancer_config(ns, mode) for mode in modes}
+    paths = _expand(ns.inputs)
+    _expand([ns.noise])
+    os.makedirs(ns.out_dir, exist_ok=True)
 
-    jobs = [(p, job.noise, snr, mode, configs[mode], job.seed)
-            for p in paths for snr in job.snrs for mode in job.modes]
-    results = _run_jobs(_bench_one, jobs, job.workers)
+    jobs = [(p, ns.noise, snr, mode, configs[mode], ns.seed)
+            for p in paths for snr in ns.snr for mode in modes]
+    results = _run_jobs(_bench_one, jobs, ns.workers)
 
-    csv_path = os.path.join(job.out_dir, "bench.csv")
+    csv_path = os.path.join(ns.out_dir, "bench.csv")
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["file", "enhancer", "snr_db", "segsnr_db"])
@@ -312,7 +284,7 @@ def cmd_bench(job: JobSpec) -> int:
                              repr(float(row["snr_db"])),
                              repr(float(row["segsnr_db"]))])
 
-    diag_path = os.path.join(job.out_dir, "bench_diagnostics.json")
+    diag_path = os.path.join(ns.out_dir, "bench_diagnostics.json")
     bundle = {f"{r['row']['file']}|{r['row']['enhancer']}|{r['row']['snr_db']:g}":
               r["diag"] for r in results}
     with open(diag_path, "w") as fh:
@@ -328,30 +300,16 @@ def main(argv=None) -> int:
     logging.basicConfig(level=level)
     logging.getLogger("modkalm").setLevel(level)
 
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
-    known, _ = pre.parse_known_args(argv)
-
-    parser, subparsers = _build_parser()
     try:
-        if known.config:
-            overrides = _load_config(known.config)
-            for sp in subparsers.values():
-                sp.set_defaults(**overrides)
-        ns = parser.parse_args(argv)
+        ns = _parse_args(argv)
+        log.debug("parsed options: %s", vars(ns))
+        if ns.workers < 1:
+            raise UsageError("--workers must be at least 1")
+        if ns.command == "enhance":
+            return cmd_enhance(ns)
+        return cmd_bench(ns)
     except SystemExit as err:  # argparse has already printed the message
         return int(err.code or 0)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-
-    log.debug("parsed options: %s", vars(ns))
-    try:
-        job = _job_from_args(ns)
-        log.debug("job spec: %s", job)
-        if ns.command == "enhance":
-            return cmd_enhance(job)
-        return cmd_bench(job)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -40,14 +40,6 @@ class Mode(enum.Enum):
     MDKM = "mdkm"
     MDKR = "mdkr"
 
-    @classmethod
-    def parse(cls, text: str) -> "Mode":
-        try:
-            return cls(text.lower())
-        except ValueError:
-            allowed = ", ".join(m.value for m in cls)
-            raise ValueError(f"unknown mode {text!r}; expected one of {allowed}")
-
 
 @dataclass(frozen=True)
 class EnhancerConfig:
@@ -66,6 +58,12 @@ class EnhancerConfig:
 
     def __post_init__(self):
         self.frame_config()
+        for name in ("speech_order", "noise_order", "mod_frames", "ring_cap"):
+            value = getattr(self, name)
+            if value is None and name == "noise_order":
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.speech_order < 1:
             raise ValueError("speech_order must be >= 1")
         if self.ring_cap < 1:

@@ -9,7 +9,7 @@ one frame length at each end so the whole original extent has full overlap.
 from __future__ import annotations
 
 import wave
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +72,6 @@ class ComplexSpectrogram:
 
     values: np.ndarray
     config: FrameConfig
-    n_samples: int = field(default=0)
 
     @property
     def amplitude(self) -> np.ndarray:
@@ -103,7 +102,7 @@ def analyze(signal, config: FrameConfig = FrameConfig()) -> ComplexSpectrogram:
     frames = sliding_window_view(xp, flen)[::inc]
     win = config.window_samples()
     values = np.fft.rfft(frames * win, axis=1)
-    return ComplexSpectrogram(values=values, config=config, n_samples=x.size)
+    return ComplexSpectrogram(values=values, config=config)
 
 
 def synthesize(amplitudes, phases, config: FrameConfig,

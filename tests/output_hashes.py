@@ -6,6 +6,12 @@ seed 0-4 at 0 dB white noise (``add_white``, both from
 
     mode/seed <sha256 of the float64 enhance output> <counters dict>
 
+and then, for each mode on seed 0, the same signal scaled to a peak of 0.5,
+written as a 16-bit WAV and passed through
+``modkalm.cli.main(["enhance", "--mode", mode, ...])``::
+
+    cli/mode/0 <sha256 of the WAV file the command writes>
+
 Two checkouts whose outputs and counters are identical print identical
 lines, so a change that must keep the output bit-identical is checked by
 running this before and after it::
@@ -16,8 +22,11 @@ The package is imported from the ``src`` directory next to this file.  The
 file name does not match ``test_*.py``, so pytest does not collect it.  A
 run takes about a minute on a 2-core x86-64 host, most of it in ``mdkr``.
 """
+import contextlib
 import hashlib
+import io
 import sys
+import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -25,7 +34,9 @@ sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 
 import numpy as np  # noqa: E402
 
+from modkalm.cli import main as cli_main  # noqa: E402
 from modkalm.enhancer import EnhancerConfig, Mode, diagnose  # noqa: E402
+from modkalm.stft import write_wav  # noqa: E402
 from test_acceptance import RATE, add_white, bench_signal  # noqa: E402
 
 MODES = ("logmmse", "mdkm", "mdkr")
@@ -34,7 +45,7 @@ SEEDS = range(5)
 
 def main() -> int:
     for mode in MODES:
-        cfg = EnhancerConfig(mode=Mode.parse(mode))
+        cfg = EnhancerConfig(mode=Mode(mode))
         for seed in SEEDS:
             noisy = add_white(bench_signal(seed), seed, 0.0)
             diag = diagnose(noisy, RATE, cfg)
@@ -42,6 +53,18 @@ def main() -> int:
             digest = hashlib.sha256(out.tobytes()).hexdigest()
             print(f"{mode}/{seed} {digest} {dict(sorted(diag.counters.items()))}",
                   flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        wav = Path(tmp) / "noisy.wav"
+        noisy = add_white(bench_signal(0), 0, 0.0)
+        write_wav(wav, 0.5 * noisy / np.max(np.abs(noisy)), RATE)
+        for mode in MODES:
+            out = Path(tmp) / mode
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli_main(["enhance", "--mode", mode, str(wav), "-o", str(out)])
+            if code != 0:
+                raise SystemExit(f"modkalm enhance --mode {mode} exited with {code}")
+            digest = hashlib.sha256((out / "noisy.enhanced.wav").read_bytes()).hexdigest()
+            print(f"cli/{mode}/0 {digest}", flush=True)
     return 0
 
 

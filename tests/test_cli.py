@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from modkalm.cli import _mix_at_snr, main
+from modkalm.enhancer import EnhancerConfig, enhance
 from modkalm.stft import read_wav, write_wav
 
 RATE = 16000
@@ -97,6 +98,14 @@ class TestEnhanceCommand:
                    "-o", str(tmp_path)])
         assert rc == 1
 
+    def test_defaults_are_the_library_defaults(self, tmp_path):
+        write_wav(tmp_path / "short.wav", burst_tone(dur=0.3, seed=3), RATE)
+        x, _ = read_wav(tmp_path / "short.wav")
+        assert main(["enhance", str(tmp_path / "short.wav"), "-o", str(tmp_path / "out")]) == 0
+        write_wav(tmp_path / "ref.wav", enhance(x, RATE, EnhancerConfig()), RATE)
+        out = (tmp_path / "out" / "short.enhanced.wav").read_bytes()
+        assert out == (tmp_path / "ref.wav").read_bytes()
+
 
 class TestBenchCommand:
     def test_grid_shape(self, wavs, tmp_path):
@@ -145,6 +154,12 @@ class TestBenchCommand:
                        "--snr", "0", "--mode", "logmmse", "-o", str(tmp_path)])
         assert rc == 0
         assert any("tiling" in rec.message for rec in caplog.records)
+
+    def test_missing_noise_is_usage_error(self, wavs, tmp_path, capsys):
+        rc = main(["bench", str(wavs / "in.wav"), "--mode", "logmmse", "-o", str(tmp_path)])
+        assert rc == 2
+        assert "--noise" in capsys.readouterr().err
+        assert not (tmp_path / "bench.csv").exists()
 
     def test_nonfinite_snr_is_usage_error(self, wavs, tmp_path, capsys):
         rc = main(["bench", str(wavs / "in.wav"),
@@ -197,6 +212,46 @@ class TestConfigFile:
                    "-o", str(tmp_path)])
         assert rc == 2
         assert "gain" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lines, flags, modes", [
+        ("mode = mdkm\n", ["--mode", "logmmse"], ["logmmse"]),
+        ("mode = logmmse\n", [], ["logmmse"]),
+        ("mode = logmmse\nmode = mdkm\n", [], ["logmmse", "mdkm"]),
+    ], ids=["flag-replaces-file", "file-only", "repeated-key"])
+    def test_bench_modes_from_file_and_flags(self, wavs, tmp_path, lines, flags, modes):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(lines)
+        assert main(["bench", str(wavs / "in.wav"), "--noise", str(wavs / "noise_long.wav"),
+                     "--config", str(cfg), *flags, "-o", str(tmp_path)]) == 0
+        rows = (tmp_path / "bench.csv").read_text().strip().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == modes
+
+    def test_noise_from_file(self, wavs, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"noise = {wavs / 'noise_long.wav'}\nsnr = 0 5\nmode = logmmse\n")
+        assert main(["bench", str(wavs / "in.wav"), "--config", str(cfg),
+                     "-o", str(tmp_path / "a")]) == 0
+        assert main(["bench", str(wavs / "in.wav"), "--noise", str(wavs / "noise_long.wav"),
+                     "--snr", "0", "5", "--mode", "logmmse", "-o", str(tmp_path / "b")]) == 0
+        a = (tmp_path / "a" / "bench.csv").read_bytes()
+        assert a == (tmp_path / "b" / "bench.csv").read_bytes()
+        # keys that only bench has are ignored by enhance, so one file serves both
+        assert main(["enhance", str(wavs / "in.wav"), "--config", str(cfg),
+                     "-o", str(tmp_path / "c")]) == 0
+
+    @pytest.mark.parametrize("line, flag", [
+        ("mode = wiener", "--mode"), ("mode = MDKM", "--mode"), ("p = x", "--p"),
+        ("snr = 0 abc", "--snr"), ("snr =", "snr"),
+    ], ids=["unknown-mode", "upper-case-mode", "p-not-int", "snr-not-float", "snr-empty"])
+    def test_bad_value_names_file_and_line(self, wavs, tmp_path, capsys, line, flag):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# batch defaults\n{line}\n")
+        rc = main(["bench", str(wavs / "in.wav"), "--noise", str(wavs / "noise_long.wav"),
+                   "--config", str(cfg), "-o", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:2:" in err and flag in err
+        assert not (tmp_path / "bench.csv").exists()
 
 
 class TestLogging:

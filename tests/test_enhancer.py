@@ -91,12 +91,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             EnhancerConfig(ring_cap=0)
 
-    def test_mode_parse(self):
-        assert Mode.parse("mdkr") is Mode.MDKR
-        assert Mode.parse("MDKM") is Mode.MDKM
-        with pytest.raises(ValueError, match="logmmse"):
-            Mode.parse("wiener")
-
 
 class TestInputContract:
     def test_empty_rejected(self):
@@ -128,6 +122,19 @@ class TestInputContract:
         for run in (enhance, diagnose):
             with pytest.raises(ValueError, match=f"{field} must be a positive, finite"):
                 run(x, RATE, EnhancerConfig(mode=Mode.MDKM, **{field: bad}))
+
+    @pytest.mark.parametrize("field", ["speech_order", "noise_order", "mod_frames",
+                                       "ring_cap"])
+    @pytest.mark.parametrize("bad", [2.5, 8.0, True, "3"])
+    def test_non_integer_setting_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            EnhancerConfig(mode=Mode.MDKR, **{field: bad})
+
+    @pytest.mark.parametrize("field, value", [("speech_order", 2), ("noise_order", 3),
+                                              ("mod_frames", 6), ("ring_cap", 32)])
+    def test_numpy_integer_setting_accepted(self, field, value):
+        cfg = EnhancerConfig(mode=Mode.MDKR, **{field: np.int64(value)})
+        assert getattr(cfg, field) == value
 
     @pytest.mark.parametrize("n", [4000, 12345, 31999])
     def test_length_preserved(self, n):
