@@ -70,13 +70,13 @@ class EnhancerConfig:
             raise ValueError("ring_cap must be >= 1")
         if self.mod_frames <= self.speech_order:
             raise ValueError("modulation window must exceed the speech order")
-        if self.mode is Mode.MDKM and self.noise_order not in (None, 0):
-            raise ValueError(
-                "scalar mode treats the noise as stationary: noise_order must "
-                "be 0 (or left unset)"
-            )
-        if self.mode is Mode.MDKR and self.noise_order == 0:
-            raise ValueError("joint mode needs a noise model order >= 1")
+        # unset takes the mode's default; mdkm treats the noise as stationary,
+        # and like the speech model a noise model must fit its window
+        lo, hi = {Mode.MDKM: (0, 0), Mode.MDKR: (1, self.mod_frames - 1)}.get(
+            self.mode, (0, self.mod_frames - 1))
+        if self.noise_order is not None and not lo <= self.noise_order <= hi:
+            raise ValueError(f"{self.mode.value} needs noise_order in [{lo}, {hi}], "
+                             f"got {self.noise_order}")
 
     def resolved_noise_order(self) -> int:
         if self.mode is Mode.MDKR:

@@ -14,13 +14,10 @@ import numpy as np
 from scipy.special import digamma, gammaln
 
 from .kalman import tally
-from .specfun import gamma_half_ratio, kummer_m_log
+from .specfun import _KUMMER_X_MAX, gamma_half_ratio, kummer_m_log
 
 GAMMA_MIN = 1e-3
 GAMMA_MAX = 49.0
-# keep the hypergeometric argument inside the supported box; beyond it the
-# estimator has already converged to its Wiener-like limit
-_X_MAX = 1e12
 VAR_FLOOR_REL = 1e-12
 
 
@@ -118,7 +115,7 @@ def mdkm_posterior(prior: GammaPrior, nu2, y, counters: dict | None = None):
     nu2 = np.broadcast_to(nu2, gamma.shape)
 
     x = zeta * xi / (gamma + xi)
-    big = x >= _X_MAX
+    big = x >= _KUMMER_X_MAX  # beyond the box: the Wiener-like limit below
     logm = kummer_m_log(
         np.stack([gamma, gamma + 0.5, gamma + 1.0]), 1.0, np.where(big, 0.0, x)[None]
     )

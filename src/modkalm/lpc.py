@@ -66,8 +66,6 @@ def levinson_grid(r: np.ndarray, order: int):
     if r.ndim != 2 or r.shape[1] < order + 1:
         raise ValueError("need a (batch, order+1) autocorrelation array")
     B = r.shape[0]
-    if order == 0:
-        return np.zeros((B, 0)), np.maximum(r[:, 0], 0.0)
     r = r.copy()
     r[:, 0] *= 1.0 + _DIAG_LOAD
     c = np.zeros((B, order))

@@ -90,8 +90,6 @@ def analyze(signal, config: FrameConfig = FrameConfig()) -> ComplexSpectrogram:
     so every original sample is covered by a full set of overlapping frames.
     """
     x = np.asarray(signal, dtype=float).ravel()
-    if x.size == 0:
-        raise ValueError("signal is empty")
     if x.size < config.frame_len:
         raise ValueError(
             f"signal shorter than one frame ({x.size} < {config.frame_len})"

@@ -15,9 +15,13 @@ one cell at a time), so agreement between the two is evidence for both:
 - :func:`nakagami_from_moments` and :func:`rician_from_nakagami` are the
   two-step Nakagami→Rician match that ``gaussring.build_ring`` evaluates
   inline.
+- :func:`log_kummer_series` sums the ascending series for log M(a;b;x)
+  element by element, each element stopping on its own; the package sums
+  the batch in lock-step (``specfun._log_kummer_series``).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,3 +265,37 @@ def rician_from_nakagami(p: NakagamiParams) -> RicianParams:
         raise ValueError("Rician match needs m > 1; use the Rayleigh fallback")
     alpha2 = p.Omega * np.sqrt(1.0 - 1.0 / p.m)
     return RicianParams(alpha=float(np.sqrt(alpha2)), delta2=0.5 * (p.Omega - alpha2))
+
+
+def log_kummer_series(a: np.ndarray, b: float, x: np.ndarray) -> np.ndarray:
+    """log M(a;b;x) by the ascending series with on-the-fly rescaling.
+
+    All terms are nonnegative for a >= 0, b > 0, x >= 0, so the sum has no
+    cancellation; partial sums are rescaled before they can overflow.
+    """
+    n = a.size
+    total = np.ones(n)
+    term = np.ones(n)
+    shift = np.zeros(n)
+    active = np.arange(n)
+    k = 0
+    while active.size:
+        aa = a[active]
+        xa = x[active]
+        t = term[active] * (aa + k) * xa / ((b + k) * (k + 1.0))
+        s = total[active] + t
+        big = s > 1e250
+        if big.any():
+            t = np.where(big, t * 1e-250, t)
+            s = np.where(big, s * 1e-250, s)
+            shift[active[big]] += 250.0 * math.log(10.0)
+        term[active] = t
+        total[active] = s
+        k += 1
+        # safe to stop once the term is negligible and the ratio is falling
+        done = (t <= s * 1e-17) & ((aa + k) * xa < 0.9 * (b + k) * (k + 1.0))
+        if done.any():
+            active = active[~done]
+        if k > 200000:
+            raise RuntimeError("kummer series failed to converge")
+    return np.log(total) + shift

@@ -72,6 +72,14 @@ class TestEnhanceCommand:
         assert rc == 2
         assert "noise_order" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("q", ["9", "8", "-1"])
+    def test_mdkr_noise_order_beyond_window(self, wavs, tmp_path, capsys, q):
+        rc = main(["enhance", "--mode", "mdkr", "--q", q,
+                   str(wavs / "in.wav"), "-o", str(tmp_path)])
+        assert rc == 2
+        assert "noise_order" in capsys.readouterr().err
+        assert not (tmp_path / "in.enhanced.wav").exists()
+
     @pytest.mark.parametrize("flag, value, extra", [
         ("--frame-ms", "0", []), ("--frame-ms", "nan", []), ("--frame-ms", "-32", []),
         ("--frame-ms", "inf", []), ("--frame-ms", "0.01", []),

@@ -136,6 +136,16 @@ class TestInputContract:
         cfg = EnhancerConfig(mode=Mode.MDKR, **{field: np.int64(value)})
         assert getattr(cfg, field) == value
 
+    @pytest.mark.parametrize("mode", [Mode.MDKM, Mode.MDKR])
+    @pytest.mark.parametrize("order, mod_frames", [(-1, 8), (8, 8), (9, 8), (6, 6)])
+    def test_noise_order_outside_window_rejected(self, mode, order, mod_frames):
+        with pytest.raises(ValueError, match="noise_order"):
+            EnhancerConfig(mode=mode, noise_order=order, mod_frames=mod_frames)
+
+    def test_largest_noise_order_accepted(self):
+        cfg = EnhancerConfig(mode=Mode.MDKR, noise_order=7)
+        assert cfg.resolved_noise_order() == 7
+
     @pytest.mark.parametrize("n", [4000, 12345, 31999])
     def test_length_preserved(self, n):
         rng = np.random.default_rng(n)

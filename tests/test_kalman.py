@@ -338,6 +338,79 @@ class TestUpdate:
         assert counters["psd_projected"] >= kinds.count("indefinite")
 
 
+class TestPsdCertificate:
+    """The Cholesky certificate in ``update`` decides as ``eigvalsh`` alone."""
+
+    LAYOUTS = {1: (1, 0), 3: (3, 0), 7: (3, 4)}
+    KINDS = ("pd", "singular", "neg1e-9", "neg1e-11", "nan")
+    # "overflow" is indefinite, but its factor overflows to inf and NaN
+    # instead of failing (0·inf on a zero entry), so only a finite factor
+    # may certify; it needs three unpicked indices, so n = 7 only
+    PROJECTED = {1: 6, 3: 3, 7: 6}
+
+    @staticmethod
+    def row(rng, n, kind):
+        # a symmetric P with the given eigenvalue pattern; with the
+        # posterior equal to the prior, update leaves P as it is
+        if kind == "overflow":
+            P = np.eye(n)
+            P[1, 1], P[1, 4], P[4, 1] = 1e-300, 1e300, 1e300
+            return P
+        lam = rng.uniform(0.5, 2.0, n)
+        if kind == "singular":
+            lam[0] = 0.0
+        elif kind.startswith("neg"):
+            lam[0] = -float(kind[3:]) * lam.max()
+        V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        P = (V * lam) @ V.T
+        P = 0.5 * (P + P.T)
+        if kind == "nan":
+            P[-1, -1] = np.nan
+        return P
+
+    def run(self, n, kinds, seed):
+        p, q = self.LAYOUTS[n]
+        rng = np.random.default_rng(seed)
+        P = np.stack([self.row(rng, n, kind) for kind in kinds])
+        a = rng.uniform(0.5, 2.0, (len(kinds), n))
+        sel = [0, p] if q else [0]
+        prior = MomentPair(a[:, sel], P[:, sel][:, :, sel])
+        counters = {}
+        out = update(KalmanState(a, P, p, q), prior, prior, counters)
+        return out, counters.get("psd_projected", 0)
+
+    @pytest.mark.parametrize("n", [1, 3, 7])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_result_as_eigvalsh_alone(self, n, seed, monkeypatch):
+        kinds = self.KINDS + ("overflow",) * (n == 7)
+        kinds = list(np.random.default_rng(seed).permutation(kinds * 3))
+        out, projected = self.run(n, kinds, seed)
+
+        def refuse(P):
+            raise np.linalg.LinAlgError("forced")
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        ref, ref_projected = self.run(n, kinds, seed)
+        assert out.a.tobytes() == ref.a.tobytes()
+        assert out.P.tobytes() == ref.P.tobytes()
+        # a 1x1 row with a negative entry is indefinite at any scale
+        assert projected == ref_projected == self.PROJECTED[n]
+
+    @pytest.mark.parametrize("n", [1, 3, 7])
+    def test_certified_batch_skips_eigvalsh(self, n, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda P: calls.append(1) or eigvalsh(P))
+        _, projected = self.run(n, ["pd", "nan", "pd", "pd"], 5)
+        assert projected == 0 and not calls
+        self.run(n, ["pd", "neg1e-9", "pd"], 5)
+        assert calls
+
+    def test_overflowing_factor_is_no_certificate(self):
+        # the batch's one indefinite row factors without raising
+        _, projected = self.run(7, ["pd", "overflow", "nan", "pd"], 5)
+        assert projected == 1
+
+
 class TestPsdProject:
     def test_clamps_negative_eigenvalue(self):
         P = np.array([[1.0, 0.0], [0.0, -0.5]])

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from modkalm.specfun import gamma_half_ratio, kummer_m_log
+from modkalm.specfun import _series_switch, gamma_half_ratio, kummer_m_log
+from reference import log_kummer_series
 
 mpmath.mp.dps = 40
 
@@ -145,6 +146,29 @@ class TestKummerM:
             assert vec[i] == pytest.approx(
                 kummer_m_log(float(a[i]), 1.0, float(x[i])), rel=1e-13, abs=1e-13
             )
+
+    def test_lock_step_series_matches_per_element_series_bitwise(self):
+        # over the series route at b = 1 (x up to the switch, the rescale at
+        # a = 49, x ~ 5000 included), the lock-step sum keeps the bits of
+        # the series that stops each element on its own
+        rng = np.random.default_rng(2024)
+        a = np.concatenate([np.exp(rng.uniform(np.log(1e-3), np.log(49.5), 600)),
+                            [1e-3, 0.5, 1.0, 49.0, 49.0, 49.0, 49.5]])
+        x = np.concatenate([rng.uniform(0.0, 1.0, 600) * _series_switch(a[:600]),
+                            [0.0, 0.0, 30.0, 4990.0, 5000.0, 4000.0, 0.0]])
+        x[:600:7] = _series_switch(a[:600:7])
+        want = log_kummer_series(a, 1.0, x)
+        assert (want > 250.0 * math.log(10.0)).sum() >= 3  # rescaled sums
+        assert np.array_equal(kummer_m_log(a, 1.0, x), want)
+
+    def test_batch_independent_bitwise_at_b_one(self):
+        # an element of a mixed batch (both routes, a = 0, the rescale) has
+        # the bits it has alone
+        a = np.array([0.0, 1e-3, 0.5, 3.3, 12.0, 49.0, 49.0, 20.0])
+        x = np.array([50.0, 0.2, 0.0, 10.0, 200.0, 5000.0, 6000.0, 1e6])
+        vec = kummer_m_log(a, 1.0, x)
+        for i in range(a.size):
+            assert np.array_equal(vec[i], kummer_m_log(a[i], 1.0, x[i]))
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
