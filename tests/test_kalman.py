@@ -346,6 +346,10 @@ class TestPsdCertificate:
     # "overflow" is indefinite, but its factor overflows to inf and NaN
     # instead of failing (0·inf on a zero entry), so only a finite factor
     # may certify; it needs three unpicked indices, so n = 7 only
+    KINDS_7 = KINDS + ("overflow",)
+    # projected rows per three copies of each kind: "neg1e-9", plus
+    # "neg1e-11" at n = 1 (a negative 1x1 row is indefinite at any scale)
+    # and "overflow" at n = 7
     PROJECTED = {1: 6, 3: 3, 7: 6}
 
     @staticmethod
@@ -382,7 +386,7 @@ class TestPsdCertificate:
     @pytest.mark.parametrize("n", [1, 3, 7])
     @pytest.mark.parametrize("seed", range(4))
     def test_same_result_as_eigvalsh_alone(self, n, seed, monkeypatch):
-        kinds = self.KINDS + ("overflow",) * (n == 7)
+        kinds = self.KINDS_7 if n == 7 else self.KINDS
         kinds = list(np.random.default_rng(seed).permutation(kinds * 3))
         out, projected = self.run(n, kinds, seed)
 
@@ -392,7 +396,6 @@ class TestPsdCertificate:
         ref, ref_projected = self.run(n, kinds, seed)
         assert out.a.tobytes() == ref.a.tobytes()
         assert out.P.tobytes() == ref.P.tobytes()
-        # a 1x1 row with a negative entry is indefinite at any scale
         assert projected == ref_projected == self.PROJECTED[n]
 
     @pytest.mark.parametrize("n", [1, 3, 7])
