@@ -146,19 +146,18 @@ def _init_rows(amp0, psd0, p: int, q: int, diffuse: float):
 
     Speech rows start diffuse (variance at overall signal-power scale) so the
     first observations dominate; noise rows carry the Rayleigh moments the
-    stationary tracker implies.
+    stationary tracker implies.  ``amp0`` and ``psd0`` are matching 1-D rows.
     """
-    k = amp0.shape[0] if amp0.ndim else 1
-    dim = p + q
+    k, dim = amp0.shape[0], p + q
     a = np.zeros((k, dim))
     P = np.zeros((k, dim, dim))
-    a[:, :p] = np.asarray(amp0).reshape(-1, 1)
+    a[:, :p] = amp0[:, None]
     ii = np.arange(p)
-    P[:, ii, ii] = np.asarray(amp0).reshape(-1, 1) ** 2 + diffuse
+    P[:, ii, ii] = amp0[:, None] ** 2 + diffuse
     if q:
-        a[:, p:] = np.sqrt(np.pi * np.asarray(psd0).reshape(-1, 1) / 4.0)
+        a[:, p:] = np.sqrt(np.pi * psd0[:, None] / 4.0)
         jj = np.arange(p, dim)
-        P[:, jj, jj] = (1.0 - np.pi / 4.0) * np.asarray(psd0).reshape(-1, 1) + _ABS_FLOOR
+        P[:, jj, jj] = (1.0 - np.pi / 4.0) * psd0[:, None] + _ABS_FLOOR
     return a, P
 
 
@@ -188,12 +187,8 @@ def _kalman_amplitudes(spec, noise: NoiseTrack, pre, cfg: EnhancerConfig,
         F[:, 1:p, : p - 1] = np.eye(p - 1)
     if q > 1:
         F[:, p + 1:, p: dim - 1] = np.eye(q - 1)
-    d_exc = 2 if q else 1
-    D = np.zeros((dim, d_exc))
-    D[0, 0] = 1.0
-    if q:
-        D[p, 1] = 1.0
-    Q = np.zeros((n_bins, d_exc, d_exc))
+    # fresh excitation enters the current speech and noise amplitudes only
+    W = np.zeros((n_bins, dim, dim))
 
     amps_hat = np.empty_like(amps)
     g_speech = np.zeros((n_frames, n_bins), dtype=np.int16) if q else None
@@ -203,12 +198,12 @@ def _kalman_amplitudes(spec, noise: NoiseTrack, pre, cfg: EnhancerConfig,
     for n in range(n_frames):
         j = jmap[n]
         F[:, 0, :p] = -sp_c[j]
-        Q[:, 0, 0] = sp_v[j]
+        W[:, 0, 0] = sp_v[j]
         if q:
             F[:, p, p:] = -nz_c[j]
-            Q[:, 1, 1] = nz_v[j]
+            W[:, p, p] = nz_v[j]
 
-        state, prior = predict(state, F, Q, D, counters)
+        state, prior = predict(state, F, W, counters)
 
         # keep the prior marginals strictly positive and finite
         mu = prior.mu
@@ -216,7 +211,7 @@ def _kalman_amplitudes(spec, noise: NoiseTrack, pre, cfg: EnhancerConfig,
         bad = ~(np.isfinite(mu).all(axis=1) & np.isfinite(Sigma).all(axis=(1, 2)))
         if bad.any():
             mu[bad] = 0.0
-            Sigma[bad] = np.eye(d_exc) * mean_power
+            Sigma[bad] = np.eye(mu.shape[1]) * mean_power
         diag = np.einsum("kii->ki", Sigma)
         np.maximum(diag[:, 0], sfloor, out=diag[:, 0])
         if q:

@@ -116,9 +116,8 @@ def mdkm_posterior(prior: GammaPrior, nu2, y, counters: dict | None = None):
 
     x = zeta * xi / (gamma + xi)
     big = x >= _KUMMER_X_MAX  # beyond the box: the Wiener-like limit below
-    logm = kummer_m_log(
-        np.stack([gamma, gamma + 0.5, gamma + 1.0]), 1.0, np.where(big, 0.0, x)[None]
-    )
+    logm = kummer_m_log(np.stack([gamma, gamma + 0.5, gamma + 1.0]),
+                        np.where(big, 0.0, x)[None])
     ratio_half = np.exp(logm[1] - logm[0])
     ratio_one = np.exp(logm[2] - logm[0])
     half = gamma_half_ratio(gamma)

@@ -64,6 +64,10 @@ class KalmanState:
             return np.array([0, self.p])
         return np.array([0])
 
+    def lagged(self) -> np.ndarray:
+        """Indices of the lagged amplitudes: every index but :meth:`picked`."""
+        return np.delete(np.arange(self.dim), self.picked())
+
 
 @dataclass
 class MomentPair:
@@ -86,25 +90,22 @@ class MomentPair:
             raise ValueError("sigma shape does not match mu")
 
 
-def predict(state: KalmanState, F, Q, D, counters: dict | None = None):
+def predict(state: KalmanState, F, W, counters: dict | None = None):
     """One-step time update; returns the predicted state and prior moments.
 
-    Negative predicted amplitudes are clamped to zero in the returned
-    moments (the raw state is left untouched); each clamp bumps
+    ``F`` is the transition and ``W`` the process-noise covariance, both
+    (..., dim, dim), so the predicted covariance is F P Fᵀ + W.  Negative
+    predicted amplitudes are clamped to zero in the returned moments (the
+    raw state is left untouched); each clamp bumps
     ``counters["prior_mean_clamped"]``.
     """
     F = np.asarray(F, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    D = np.asarray(D, dtype=float)
     n = state.dim
     if F.shape[-2:] != (n, n):
         raise ValueError(f"transition trailing shape {F.shape[-2:]} != ({n}, {n})")
-    if D.shape[0] != n or Q.shape[-1] != D.shape[1]:
-        raise ValueError("D/Q shapes inconsistent with the state")
 
     a = np.einsum("...ij,...j->...i", F, state.a)
-    Ft = np.swapaxes(F, -1, -2)
-    P = F @ state.P @ Ft + D @ Q @ np.swapaxes(D, -1, -2)
+    P = F @ state.P @ np.swapaxes(F, -1, -2) + W
     P = 0.5 * (P + np.swapaxes(P, -1, -2))
 
     sel = state.picked()
@@ -148,8 +149,7 @@ def update(
     d = sel.size
     if posterior.mu.shape[-1] != d or prior.mu.shape[-1] != d:
         raise ValueError("moment dimension does not match the state layout")
-    # the lagged amplitudes: every index but sel = [0] or [0, p]
-    rest = np.r_[1:prior_state.p, prior_state.p + 1:prior_state.dim]
+    rest = prior_state.lagged()
 
     lo, hi = _eig_magnitudes(prior.sigma)
     dead = ~(np.isfinite(hi) & (hi > 0.0))  # zero or non-finite: no ridge helps

@@ -1,10 +1,11 @@
 """Numerically robust special functions for the Gamma-prior posterior.
 
 Provides the half-step gamma ratio Γ(g+½)/Γ(g) and the confluent
-hypergeometric function M(a;b;x), both on the parameter box the estimators
-use (a, g ≤ 60).  M grows like exp(x) and is consumed only
-through ratios, so :func:`kummer_m_log` returns its logarithm, elementwise
-over broadcast arrays, and ratios are formed by subtracting logs.
+hypergeometric function M(a;1;x), the one Kummer function the Gamma-prior
+update needs, both on the parameter box the estimators use (a, g ≤ 60).
+M grows like exp(x) and is consumed only through ratios, so
+:func:`kummer_m_log` returns its logarithm, elementwise over broadcast
+arrays, and ratios are formed by subtracting logs.
 """
 from __future__ import annotations
 
@@ -21,10 +22,9 @@ __all__ = [
 _LN10 = math.log(10.0)
 
 # Supported parameter box for kummer_m_log.  The estimators call it with
-# a = shape or shape +/- 1/2 (shape capped at 49) and b = 1; the box leaves
+# a = shape, shape + 1/2 or shape + 1 (shape capped at 49); the box leaves
 # generous headroom while refusing silent extrapolation.
 _KUMMER_A_MAX = 60.0
-_KUMMER_B_MAX = 60.0
 _KUMMER_X_MAX = 1e12
 _STOP_EVERY = 4  # passes of the lock-step series between tests of its stop rule
 
@@ -55,23 +55,23 @@ def _series_switch(a: np.ndarray) -> np.ndarray:
     return np.maximum(30.0, 2.0 * (a + 1.0) ** 2)
 
 
-def _log_kummer_series(a: np.ndarray, b: float, x: np.ndarray) -> np.ndarray:
-    """log M(a;b;x) by the ascending series with on-the-fly rescaling.
+def _log_kummer_series(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """log M(a;1;x) by the ascending series with on-the-fly rescaling.
 
-    All terms are nonnegative for a >= 0, b > 0, x >= 0, so the sum has no
+    All terms are nonnegative for a >= 0, x >= 0, so the sum has no
     cancellation; partial sums are rescaled before they can overflow.  The
     batch is summed in lock-step until all elements meet the stop rule,
-    tested every ``_STOP_EVERY`` terms.  At b = 1 (the estimators' only b)
-    an element keeps its own bits: past its stop, t <= 1e-17 s is under half
-    an ulp of s (> 2^-54 s) and the ratio (a+k)x/(k+1)^2 falls for k >= 1.
-    Other b only gain accuracy; a running ``a + k`` would round differently.
+    tested every ``_STOP_EVERY`` terms.  An element keeps its own bits:
+    past its stop, t <= 1e-17 s is under half an ulp of s (> 2^-54 s) and
+    the ratio (a+k)x/(k+1)^2 falls for k >= 1.  A running ``a + k`` would
+    round differently.
     """
     total, term, shift = np.ones(a.size), np.ones(a.size), np.zeros(a.size)
     k = 0
     while k <= 200000:
         term *= a + k
         term *= x
-        term /= (b + k) * (k + 1.0)
+        term /= (1.0 + k) * (k + 1.0)
         total += term
         big = total > 1e250
         if big.any():
@@ -81,20 +81,20 @@ def _log_kummer_series(a: np.ndarray, b: float, x: np.ndarray) -> np.ndarray:
         k += 1
         # safe to stop once the term is negligible and the ratio is falling
         if k % _STOP_EVERY == 0 and ((term <= total * 1e-17)
-                                     & ((a + k) * x < 0.9 * (b + k) * (k + 1.0))).all():
+                                     & ((a + k) * x < 0.9 * (1.0 + k) * (k + 1.0))).all():
             return np.log(total) + shift
     raise RuntimeError("kummer series failed to converge")
 
 
-def _log_kummer_asymptotic(a: np.ndarray, b: float, x: np.ndarray) -> np.ndarray:
-    """log M(a;b;x) from the exponentially dominant large-x expansion."""
+def _log_kummer_asymptotic(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """log M(a;1;x) from the exponentially dominant large-x expansion."""
     n = a.size
     s = np.ones(n)
     c = np.ones(n)
     prev = np.ones(n)
     done = np.zeros(n, dtype=bool)
     for k in range(80):
-        c = c * (b - a + k) * (1.0 - a + k) / ((k + 1.0) * x)
+        c = c * (1.0 - a + k) * (1.0 - a + k) / ((k + 1.0) * x)
         mag = np.abs(c)
         # stop before terms start growing (divergent tail) or once negligible
         done |= (mag > prev) | (mag <= np.abs(s) * 1e-17)
@@ -103,22 +103,18 @@ def _log_kummer_asymptotic(a: np.ndarray, b: float, x: np.ndarray) -> np.ndarray
         if done.all():
             break
     s = np.maximum(s, 1e-300)
-    return _sp.gammaln(b) - _sp.gammaln(a) + x + (a - b) * np.log(x) + np.log(s)
+    return _sp.gammaln(1.0) - _sp.gammaln(a) + x + (a - 1.0) * np.log(x) + np.log(s)
 
 
-def kummer_m_log(a, b: float, x) -> np.ndarray:
-    """Vectorized log of M(a;b;x) for a >= 0, b > 0, x >= 0.
+def kummer_m_log(a, x) -> np.ndarray:
+    """Vectorized log of M(a;1;x) for a >= 0, x >= 0.
 
-    ``a`` and ``x`` broadcast; ``b`` is a scalar shared by the batch.  The
-    result is always the log of a value >= 1, finite for arguments inside
-    the supported box.
+    ``a`` and ``x`` broadcast.  The result is always the log of a value
+    >= 1, finite for arguments inside the supported box.
     """
     a_arr, x_arr = np.broadcast_arrays(
         _as_float_array(a, "a"), _as_float_array(x, "x")
     )
-    b = float(b)
-    if not (0.0 < b <= _KUMMER_B_MAX):
-        raise ValueError(f"b must be in (0, {_KUMMER_B_MAX}]")
     if (a_arr < 0).any() or (a_arr > _KUMMER_A_MAX).any():
         raise ValueError(f"a must be in [0, {_KUMMER_A_MAX}]")
     if (x_arr < 0).any() or (x_arr > _KUMMER_X_MAX).any():
@@ -126,16 +122,12 @@ def kummer_m_log(a, b: float, x) -> np.ndarray:
     a_flat = a_arr.ravel()
     x_flat = x_arr.ravel()
     out = np.zeros_like(a_flat)
-    # M(0;b;x) = 1 exactly; the large-x expansion divides by Gamma(a), so
+    # M(0;1;x) = 1 exactly; the large-x expansion divides by Gamma(a), so
     # route a == 0 around both branches.
     use_series = (x_flat <= _series_switch(a_flat)) & (a_flat > 0)
     if use_series.any():
-        out[use_series] = _log_kummer_series(
-            a_flat[use_series], b, x_flat[use_series]
-        )
+        out[use_series] = _log_kummer_series(a_flat[use_series], x_flat[use_series])
     use_asym = ~use_series & (a_flat > 0)
     if use_asym.any():
-        out[use_asym] = _log_kummer_asymptotic(
-            a_flat[use_asym], b, x_flat[use_asym]
-        )
+        out[use_asym] = _log_kummer_asymptotic(a_flat[use_asym], x_flat[use_asym])
     return out.reshape(a_arr.shape)

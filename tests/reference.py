@@ -8,14 +8,16 @@ one cell at a time), so agreement between the two is evidence for both:
   :func:`models_per_frame` are the per-bin oracles for
   ``lpc.levinson_grid``, ``lpc.speech_lpc_grid``, ``lpc.noise_lpc_grid``
   and ``lpc.frame_model_index``.
-- :func:`build_transition` assembles the Kalman F, Q and D matrices from
-  two prediction models.
+- :func:`build_transition` assembles the Kalman transition F, the
+  residual variances Q and the excitation map D from two prediction
+  models; the tests hand ``kalman.predict`` the process-noise covariance
+  W = D Q Dᵀ.
 - :func:`fit_gamma_shape_brentq` solves the Gamma-prior shape equation by
   bracketing, for ``gamma_update.fit_gamma_prior``'s batched Newton solve.
 - :func:`nakagami_from_moments` and :func:`rician_from_nakagami` are the
   two-step Nakagami→Rician match that ``gaussring.build_ring`` evaluates
   inline.
-- :func:`log_kummer_series` sums the ascending series for log M(a;b;x)
+- :func:`log_kummer_series` sums the ascending series for log M(a;1;x)
   element by element, each element stopping on its own; the package sums
   the batch in lock-step (``specfun._log_kummer_series``).
 """
@@ -267,10 +269,10 @@ def rician_from_nakagami(p: NakagamiParams) -> RicianParams:
     return RicianParams(alpha=float(np.sqrt(alpha2)), delta2=0.5 * (p.Omega - alpha2))
 
 
-def log_kummer_series(a: np.ndarray, b: float, x: np.ndarray) -> np.ndarray:
-    """log M(a;b;x) by the ascending series with on-the-fly rescaling.
+def log_kummer_series(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """log M(a;1;x) by the ascending series with on-the-fly rescaling.
 
-    All terms are nonnegative for a >= 0, b > 0, x >= 0, so the sum has no
+    All terms are nonnegative for a >= 0, x >= 0, so the sum has no
     cancellation; partial sums are rescaled before they can overflow.
     """
     n = a.size
@@ -282,7 +284,7 @@ def log_kummer_series(a: np.ndarray, b: float, x: np.ndarray) -> np.ndarray:
     while active.size:
         aa = a[active]
         xa = x[active]
-        t = term[active] * (aa + k) * xa / ((b + k) * (k + 1.0))
+        t = term[active] * (aa + k) * xa / ((1.0 + k) * (k + 1.0))
         s = total[active] + t
         big = s > 1e250
         if big.any():
@@ -293,7 +295,7 @@ def log_kummer_series(a: np.ndarray, b: float, x: np.ndarray) -> np.ndarray:
         total[active] = s
         k += 1
         # safe to stop once the term is negligible and the ratio is falling
-        done = (t <= s * 1e-17) & ((aa + k) * xa < 0.9 * (b + k) * (k + 1.0))
+        done = (t <= s * 1e-17) & ((aa + k) * xa < 0.9 * (1.0 + k) * (k + 1.0))
         if done.any():
             active = active[~done]
         if k > 200000:

@@ -62,9 +62,9 @@ class TestPredict:
     def test_deterministic_state(self):
         speech, noise = make_models(2, 1, speech_coeffs=[-0.9, 0.1], noise_coeffs=[-0.5])
         F, Q, D = build_transition(speech, noise)
-        Q0 = np.zeros_like(Q)
+        W0 = D @ np.zeros_like(Q) @ D.T
         st = KalmanState(np.array([1.0, 2.0, 3.0]), np.zeros((3, 3)), 2, 1)
-        pred, prior = predict(st, F, Q0, D)
+        pred, prior = predict(st, F, W0)
         assert pred.P == pytest.approx(np.zeros((3, 3)))
         assert prior.sigma == pytest.approx(np.zeros((2, 2)))
         fa = F @ st.a
@@ -78,7 +78,7 @@ class TestPredict:
         st = KalmanState(np.abs(rng.standard_normal(n)), P, p, q)
         D = np.zeros((n, 2))
         D[0, 0] = D[p, 1] = 1.0
-        _, prior = predict(st, np.eye(n), np.eye(2), D)
+        _, prior = predict(st, np.eye(n), D @ np.eye(2) @ D.T)
         expected = P[np.ix_([0, p], [0, p])] + np.eye(2)
         assert prior.sigma == pytest.approx(expected, rel=1e-12)
 
@@ -96,7 +96,7 @@ class TestPredict:
         a = np.abs(rng.standard_normal(n)) + 1.0
         P = random_spd(rng, n, 0.5)
         st = KalmanState(a, P, p, q)
-        _, prior = predict(st, F, Q, D)
+        _, prior = predict(st, F, D @ Q @ D.T)
 
         m = 1_000_000
         x = rng.multivariate_normal(a, P, size=m)
@@ -112,7 +112,7 @@ class TestPredict:
         F, Q, D = build_transition(speech, noise)
         st = KalmanState(np.array([1.0, 1.0]), np.eye(2), 1, 1)
         counters = {}
-        pred, prior = predict(st, F, Q, D, counters=counters)
+        pred, prior = predict(st, F, D @ Q @ D.T, counters=counters)
         assert pred.a[0] == pytest.approx(-0.9)  # raw state keeps the sign
         assert prior.mu[0] == 0.0
         assert prior.mu[1] == pytest.approx(0.5)
@@ -121,7 +121,27 @@ class TestPredict:
     def test_shape_mismatch_rejected(self):
         st = KalmanState(np.zeros(3), np.eye(3), 2, 1)
         with pytest.raises(ValueError):
-            predict(st, np.eye(4), np.eye(2), np.zeros((4, 2)))
+            predict(st, np.eye(4), np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("q", [0, 4])
+    def test_covariance_is_the_excitation_form_bitwise(self, q):
+        # W = D Q Dᵀ is exact for a 0/1 excitation map and a diagonal Q, so
+        # F P Fᵀ + W keeps every bit of F P Fᵀ + D Q Dᵀ
+        rng = np.random.default_rng(q)
+        p, n, rows = 3, 3 + q, 16
+        F, Q, D = (np.stack(m) for m in zip(*(
+            build_transition(*make_models(
+                p, q, speech_coeffs=rng.uniform(-0.9, 0.9, p),
+                noise_coeffs=rng.uniform(-0.9, 0.9, q),
+                sv=rng.uniform(0.1, 2.0), nv=rng.uniform(0.1, 2.0)))
+            for _ in range(rows))))
+        P = np.stack([random_spd(rng, n, rng.uniform(0.1, 10.0)) for _ in range(rows)])
+        st = KalmanState(rng.uniform(0.5, 2.0, (rows, n)), P, p, q)
+        Dt = np.swapaxes(D, -1, -2)
+        pred, _ = predict(st, F, D @ Q @ Dt)
+        want = F @ P @ np.swapaxes(F, -1, -2) + D @ Q @ Dt
+        want = 0.5 * (want + np.swapaxes(want, -1, -2))
+        assert np.array_equal(pred.P, want)
 
 
 ROW_KINDS = ("healthy", "ill", "indefinite", "zero")
@@ -177,7 +197,7 @@ class TestUpdate:
         st = KalmanState(np.abs(rng.standard_normal(n)) + 0.5, random_spd(rng, n), p, q)
         speech, noise = make_models(p, q)
         F, Q, D = build_transition(speech, noise)
-        pred, prior = predict(st, F, Q, D)
+        pred, prior = predict(st, F, D @ Q @ D.T)
         out = update(pred, prior, MomentPair(prior.mu.copy(), prior.sigma.copy()))
         assert out.a == pytest.approx(pred.a, abs=1e-12)
         assert out.P == pytest.approx(pred.P, abs=1e-12)
@@ -233,7 +253,7 @@ class TestUpdate:
         st = KalmanState(np.abs(rng.standard_normal(n)) + 1.0, random_spd(rng, n), p, q)
         speech, noise = make_models(p, q)
         F, Q, D = build_transition(speech, noise)
-        pred, prior = predict(st, F, Q, D)
+        pred, prior = predict(st, F, D @ Q @ D.T)
         Sigma_post = 0.5 * prior.sigma + 0.1 * np.eye(2)
         mu_post = prior.mu * 0.9
         out = update(pred, prior, MomentPair(mu_post, Sigma_post))
