@@ -91,7 +91,7 @@ class TestKummerM:
         assert math.exp(kummer_m_log(0.0, 50.0)) == pytest.approx(1.0, abs=1e-14)
 
     def test_sign_is_positive(self):
-        # M(a;b;x) >= 1 > 0 for a, x >= 0, so its log is never negative
+        # M(a;1;x) >= 1 > 0 for a, x >= 0, so its log is never negative
         assert kummer_m_log(0.5, 2.0) >= 0.0
 
     @pytest.mark.parametrize("a,b,x,log_want", KUMMER_PINS)
