@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .enhancer import EnhancerConfig, Mode, diagnose
+from .enhancer import SAMPLE_RATE, EnhancerConfig, Mode, diagnose
 from .metrics import seg_snr
 from .stft import FrameConfig, read_wav, write_wav
 
@@ -62,7 +62,6 @@ def _add_shared(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--mod-frame-ms", type=float,
                     default=EnhancerConfig.mod_frames * EnhancerConfig.inc_ms,
                     help="modulation analysis window, in milliseconds")
-    ap.add_argument("--ring-cap", type=int, default=EnhancerConfig.ring_cap)
     ap.add_argument("--seed", type=int, default=0,
                     help="seed for benchmark noise alignment")
     ap.add_argument("--workers", type=int, default=1,
@@ -150,7 +149,7 @@ def _enhancer_config(ns: argparse.Namespace, mode: str) -> EnhancerConfig:
         raise UsageError("--mod-frame-ms must be a positive, finite number of "
                          f"milliseconds, got {ns.mod_frame_ms}")
     try:
-        FrameConfig.from_ms(EnhancerConfig.sample_rate, ns.frame_ms, ns.inc_ms)
+        FrameConfig.from_ms(SAMPLE_RATE, ns.frame_ms, ns.inc_ms)
     except ValueError as err:
         raise UsageError(f"--frame-ms/--inc-ms give no valid framing: {err}") from err
     mod_frames = ns.mod_frame_ms / ns.inc_ms
@@ -165,7 +164,6 @@ def _enhancer_config(ns: argparse.Namespace, mode: str) -> EnhancerConfig:
             mod_frames=max(1, round(mod_frames)),
             speech_order=ns.p,
             noise_order=ns.q,
-            ring_cap=ns.ring_cap,
         )
     except ValueError as err:
         raise UsageError(str(err)) from err
@@ -197,7 +195,7 @@ def _run_jobs(fn, jobs, workers: int) -> list:
 
 def _enhance_one(job: tuple) -> str:
     path, cfg, out_dir = job
-    samples, rate = read_wav(path, expect_rate=cfg.sample_rate)
+    samples, rate = read_wav(path, expect_rate=SAMPLE_RATE)
     diag = diagnose(samples, rate, cfg)
     out_path = os.path.join(out_dir, Path(path).stem + ".enhanced.wav")
     clipped = write_wav(out_path, diag.enhanced, rate)
@@ -242,7 +240,7 @@ def _mix_at_snr(clean: np.ndarray, noise: np.ndarray, snr_db: float,
 
 def _bench_one(job: tuple) -> dict:
     clean_path, noise_path, snr_db, mode, cfg, seed = job
-    clean, rate = read_wav(clean_path, expect_rate=cfg.sample_rate)
+    clean, rate = read_wav(clean_path, expect_rate=SAMPLE_RATE)
     noise, _ = read_wav(noise_path, expect_rate=rate)
     tag = zlib.crc32(f"{clean_path}|{snr_db:.6f}".encode()) & 0x7FFFFFFF
     noisy = _mix_at_snr(clean, noise, snr_db, seed=seed, tag=tag)
@@ -305,6 +303,8 @@ def main(argv=None) -> int:
         log.debug("parsed options: %s", vars(ns))
         if ns.workers < 1:
             raise UsageError("--workers must be at least 1")
+        if ns.seed < 0:
+            raise UsageError(f"--seed must be non-negative, got {ns.seed}")
         if ns.command == "enhance":
             return cmd_enhance(ns)
         return cmd_bench(ns)

@@ -33,6 +33,8 @@ _ABS_FLOOR = 1e-300
 # Rayleigh amplitude exceeds 4x its mean with probability ~3e-6) so that
 # speech estimation residuals cannot masquerade as sudden noise bursts.
 _NOISE_MEAN_CAP = 4.0
+# the paper's operating point; the framing in milliseconds is set against it
+SAMPLE_RATE = 16000
 
 
 class Mode(enum.Enum):
@@ -43,22 +45,20 @@ class Mode(enum.Enum):
 
 @dataclass(frozen=True)
 class EnhancerConfig:
-    """Pipeline settings; the defaults match the standard operating point
-    (16 kHz, 32 ms/8 ms acoustic frames, 64 ms modulation windows, speech
-    order 3, noise order 4 for joint tracking)."""
+    """Pipeline settings for :data:`SAMPLE_RATE` input; the defaults match
+    the standard operating point (32 ms/8 ms acoustic frames, 64 ms
+    modulation windows, speech order 3, noise order 4 for joint tracking)."""
 
     mode: Mode = Mode.MDKR
-    sample_rate: int = 16000
     frame_ms: float = 32.0
     inc_ms: float = 8.0
     mod_frames: int = 8           # modulation window length, in acoustic frames (hop 1)
     speech_order: int = 3
     noise_order: int | None = None  # None -> mode default (0 scalar, 4 joint)
-    ring_cap: int = DEFAULT_RING_CAP
 
     def __post_init__(self):
         self.frame_config()
-        for name in ("speech_order", "noise_order", "mod_frames", "ring_cap"):
+        for name in ("speech_order", "noise_order", "mod_frames"):
             value = getattr(self, name)
             if value is None and name == "noise_order":
                 continue
@@ -66,8 +66,6 @@ class EnhancerConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.speech_order < 1:
             raise ValueError("speech_order must be >= 1")
-        if self.ring_cap < 1:
-            raise ValueError("ring_cap must be >= 1")
         if self.mod_frames <= self.speech_order:
             raise ValueError("modulation window must exceed the speech order")
         # unset takes the mode's default; mdkm treats the noise as stationary,
@@ -84,7 +82,7 @@ class EnhancerConfig:
         return 0
 
     def frame_config(self) -> FrameConfig:
-        return FrameConfig.from_ms(self.sample_rate, self.frame_ms, self.inc_ms)
+        return FrameConfig.from_ms(SAMPLE_RATE, self.frame_ms, self.inc_ms)
 
 
 @dataclass
@@ -121,8 +119,8 @@ def _run(samples, rate: int, cfg: EnhancerConfig) -> Diagnostics:
             f"signal has {x.size - int(finite.sum())} non-finite samples "
             f"(NaN or Inf), the first at index {first}; the enhancer needs "
             "finite input")
-    if rate != cfg.sample_rate:
-        raise ValueError(f"sample rate {rate} != configured {cfg.sample_rate}")
+    if rate != SAMPLE_RATE:
+        raise ValueError(f"sample rate {rate} != the enhancer's {SAMPLE_RATE}")
     counters: dict = {"cell_faults": 0}
     if not np.any(x):
         return Diagnostics(np.zeros_like(x), cfg.mode, counters, None, None, None)
@@ -244,7 +242,7 @@ def _kalman_amplitudes(spec, noise: NoiseTrack, pre, cfg: EnhancerConfig,
                     continue
                 try:
                     cmu, csig = mdkr_cell(mu_s[k], var_s[k], mu_n[k], var_n[k], z_n[k],
-                                          cap=cfg.ring_cap, counters=counters, info=info)
+                                          cap=DEFAULT_RING_CAP, counters=counters, info=info)
                 except (ValueError, FloatingPointError, ZeroDivisionError):
                     bad[k] = True
                     continue

@@ -14,7 +14,6 @@ import numpy as np
 from scipy.signal import get_window
 
 __all__ = [
-    "autocorrelation",
     "levinson_grid",
     "speech_lpc_grid",
     "noise_lpc_grid",
@@ -29,24 +28,20 @@ _DIAG_LOAD = 1e-10
 NOISE_SMOOTHING = 0.9
 
 
-def _mod_window(amps: np.ndarray, mod_frames: int) -> np.ndarray:
+def _mod_window(amps: np.ndarray, mod_frames: int, order: int):
     """Check a (frames, bins) grid against the modulation frame length and
-    return the periodic Hamming window of one modulation frame."""
+    return the periodic Hamming window of one modulation frame with its lag
+    products sum_t w[t] w[t+l], l = 0..order."""
     if amps.ndim != 2:
         raise ValueError("need a (frames, bins) amplitude grid")
     if not 0 < mod_frames <= amps.shape[0]:
         raise ValueError(
             f"mod_frames {mod_frames} must be in [1, track length {amps.shape[0]}]")
-    return get_window("hamming", mod_frames, fftbins=True)
-
-
-def autocorrelation(seq, max_lag: int) -> np.ndarray:
-    """Biased autocorrelation r[l] = (1/N) sum_t seq[t] seq[t+l], l=0..max_lag."""
-    x = np.asarray(seq, dtype=float).ravel()
-    if x.size <= max_lag:
-        raise ValueError(f"sequence length {x.size} <= max_lag {max_lag}")
-    n = x.size
-    return np.array([np.dot(x[: n - l], x[l:]) / n for l in range(max_lag + 1)])
+    if not 0 <= order < mod_frames:
+        raise ValueError(f"order {order} must be in [0, mod_frames {mod_frames})")
+    win = get_window("hamming", mod_frames, fftbins=True)
+    wlags = np.array([np.dot(win[: mod_frames - l], win[l:]) for l in range(order + 1)])
+    return win, wlags
 
 
 def levinson_grid(r: np.ndarray, order: int):
@@ -57,8 +52,8 @@ def levinson_grid(r: np.ndarray, order: int):
     relative 1e-10 first, so nearly singular rows stay solvable.  A row
     whose recursion hits a reflection coefficient of magnitude >= 1 or a
     non-positive error freezes at the highest stable order; its trailing
-    coefficients stay zero.  Rows with ``r[:, 0] <= 0`` come back as
-    all-zero "degenerate" models, and callers mask those rows themselves.
+    coefficients stay zero.  Rows with ``r[:, 0] <= 0`` (or NaN) come back
+    as "degenerate" models: zero coefficients and zero residual.
     """
     r = np.asarray(r, dtype=float)
     if order < 0:
@@ -99,12 +94,11 @@ def speech_lpc_grid(precleaned_amps, mod_frames: int, order: int):
     keeps a constant track exactly predictable.  Returns
     ``(coeffs (S, bins, order), residual (S, bins))`` with
     S = frames - mod_frames + 1 modulation frames; all-zero segments come
-    back degenerate (zero coefficients, zero residual).
+    back as :func:`levinson_grid`'s degenerate rows.
     """
     amps = np.asarray(precleaned_amps, dtype=float)
-    win = _mod_window(amps, mod_frames)
+    win, wlags = _mod_window(amps, mod_frames, order)
     mlen = mod_frames
-    rwin = autocorrelation(win, order)
     segs = np.lib.stride_tricks.sliding_window_view(amps, mlen, axis=0)
     S, K = segs.shape[0], segs.shape[1]
     wseg = segs * win
@@ -112,14 +106,9 @@ def speech_lpc_grid(precleaned_amps, mod_frames: int, order: int):
     for l in range(order + 1):
         r[:, :, l] = np.einsum("skt,skt->sk", wseg[:, :, : mlen - l],
                                wseg[:, :, l:]) / mlen
-    r /= rwin
+    r /= wlags / mlen
     coeffs, resvar = levinson_grid(r.reshape(S * K, order + 1), order)
-    coeffs = coeffs.reshape(S, K, order)
-    resvar = resvar.reshape(S, K)
-    silent = ~np.any(segs, axis=2)
-    coeffs[silent] = 0.0
-    resvar[silent] = 0.0
-    return coeffs, resvar
+    return coeffs.reshape(S, K, order), resvar.reshape(S, K)
 
 
 def noise_lpc_grid(noisy_amps, vad, mod_frames: int, order: int):
@@ -134,28 +123,24 @@ def noise_lpc_grid(noisy_amps, vad, mod_frames: int, order: int):
     frame is seen, the model derives from a flat spectrum scaled to the
     first few frames.  The flags are shared across bins, so every bin is
     advanced at once.  Returns ``(coeffs (S, bins, order), residual
-    (S, bins))``, one row per modulation frame.
+    (S, bins))``, one row per modulation frame; a spectrum whose power has
+    underflowed to zero gives :func:`levinson_grid`'s degenerate rows.
     """
     amps = np.asarray(noisy_amps, dtype=float)
     flags = np.asarray(vad, dtype=bool).ravel()
-    win = _mod_window(amps, mod_frames)
+    win, wlags = _mod_window(amps, mod_frames, order)
     if flags.size != amps.shape[0]:
         raise ValueError("vad flags must align with the amplitude grid")
     mlen = mod_frames
     nfft = 2 * mlen
     K = amps.shape[1]
-    wcorr = np.array([np.dot(win[: mlen - l], win[l:]) for l in range(order + 1)])
     p0 = np.mean(amps[: min(6, amps.shape[0])] ** 2, axis=0)
     mbar = np.sqrt(np.maximum(p0, 1e-300)[:, None]
                    * np.sum(win ** 2)) * np.ones(nfft // 2 + 1)
 
     def fit_all():
-        acf = np.fft.irfft(mbar ** 2, n=nfft, axis=1)[:, : order + 1] / wcorr
-        c, e = levinson_grid(acf, order)
-        bad = acf[:, 0] <= 0
-        c[bad] = 0.0
-        e[bad] = 0.0
-        return c, e
+        acf = np.fft.irfft(mbar ** 2, n=nfft, axis=1)[:, : order + 1] / wlags
+        return levinson_grid(acf, order)
 
     coeffs_now, res_now = fit_all()
     S = amps.shape[0] - mlen + 1

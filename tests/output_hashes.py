@@ -12,6 +12,12 @@ written as a 16-bit WAV and passed through
 
     cli/mode/0 <sha256 of the WAV file the command writes>
 
+and last, for each mode, seed 0's noisy signal with its first
+``SILENT_SECONDS`` set to exact zeros (digital silence, which sends
+all-zero rows through the LPC fits)::
+
+    silent/mode/0 <sha256 of the float64 enhance output> <counters dict>
+
 Two checkouts whose outputs and counters are identical print identical
 lines, so a change that must keep the output bit-identical is checked by
 running this before and after it::
@@ -41,18 +47,20 @@ from test_acceptance import RATE, add_white, bench_signal  # noqa: E402
 
 MODES = ("logmmse", "mdkm", "mdkr")
 SEEDS = range(5)
+SILENT_SECONDS = 0.3
+
+
+def _print_run(tag: str, noisy: np.ndarray, mode: str) -> None:
+    diag = diagnose(noisy, RATE, EnhancerConfig(mode=Mode(mode)))
+    out = np.ascontiguousarray(diag.enhanced, dtype=np.float64)
+    digest = hashlib.sha256(out.tobytes()).hexdigest()
+    print(f"{tag} {digest} {dict(sorted(diag.counters.items()))}", flush=True)
 
 
 def main() -> int:
     for mode in MODES:
-        cfg = EnhancerConfig(mode=Mode(mode))
         for seed in SEEDS:
-            noisy = add_white(bench_signal(seed), seed, 0.0)
-            diag = diagnose(noisy, RATE, cfg)
-            out = np.ascontiguousarray(diag.enhanced, dtype=np.float64)
-            digest = hashlib.sha256(out.tobytes()).hexdigest()
-            print(f"{mode}/{seed} {digest} {dict(sorted(diag.counters.items()))}",
-                  flush=True)
+            _print_run(f"{mode}/{seed}", add_white(bench_signal(seed), seed, 0.0), mode)
     with tempfile.TemporaryDirectory() as tmp:
         wav = Path(tmp) / "noisy.wav"
         noisy = add_white(bench_signal(0), 0, 0.0)
@@ -65,6 +73,10 @@ def main() -> int:
                 raise SystemExit(f"modkalm enhance --mode {mode} exited with {code}")
             digest = hashlib.sha256((out / "noisy.enhanced.wav").read_bytes()).hexdigest()
             print(f"cli/{mode}/0 {digest}", flush=True)
+    silent = add_white(bench_signal(0), 0, 0.0)
+    silent[: int(SILENT_SECONDS * RATE)] = 0.0
+    for mode in MODES:
+        _print_run(f"silent/{mode}/0", silent, mode)
     return 0
 
 

@@ -4,6 +4,8 @@ The package runs one batched implementation of each stage.  The scalar
 forms kept here are written differently (one bin, one modulation frame or
 one cell at a time), so agreement between the two is evidence for both:
 
+- :func:`autocorrelation` is the biased lag-product estimate the LPC
+  oracles fit to.
 - :func:`levinson`, :func:`speech_lpc_track`, :func:`noise_lpc_track` and
   :func:`models_per_frame` are the per-bin oracles for
   ``lpc.levinson_grid``, ``lpc.speech_lpc_grid``, ``lpc.noise_lpc_grid``
@@ -31,7 +33,7 @@ from scipy.optimize import brentq
 from scipy.signal import get_window
 
 from modkalm.gamma_update import GAMMA_MAX, GAMMA_MIN, _log_shape_ratio
-from modkalm.lpc import _DIAG_LOAD, autocorrelation
+from modkalm.lpc import _DIAG_LOAD
 
 
 @dataclass
@@ -58,6 +60,15 @@ class TrackedModel:
     model: ModulationLpcModel
     first_frame: int
     last_frame: int
+
+
+def autocorrelation(seq, max_lag: int) -> np.ndarray:
+    """Biased autocorrelation r[l] = (1/N) sum_t seq[t] seq[t+l], l=0..max_lag."""
+    x = np.asarray(seq, dtype=float).ravel()
+    if x.size <= max_lag:
+        raise ValueError(f"sequence length {x.size} <= max_lag {max_lag}")
+    n = x.size
+    return np.array([np.dot(x[: n - l], x[l:]) / n for l in range(max_lag + 1)])
 
 
 def levinson(r, order: int) -> ModulationLpcModel:

@@ -20,10 +20,10 @@ from modkalm.enhancer import EnhancerConfig, Mode, diagnose, enhance
 from modkalm.gamma_update import GammaPrior, mdkm_posterior
 from modkalm.gaussring import RAYLEIGH_GATE, build_ring, mdkr_cell
 from modkalm.kalman import KalmanState, MomentPair, update
-from modkalm.lpc import autocorrelation, prediction_gain
+from modkalm.lpc import prediction_gain
 from modkalm.metrics import seg_snr
 from modkalm.stft import FrameConfig, analyze, synthesize
-from reference import NakagamiParams, levinson, rician_from_nakagami
+from reference import NakagamiParams, autocorrelation, levinson, rician_from_nakagami
 
 RATE = 16000
 

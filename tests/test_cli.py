@@ -96,6 +96,13 @@ class TestEnhanceCommand:
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "in.enhanced.wav").exists()
 
+    def test_ring_cap_flag_is_gone(self, wavs, tmp_path, capsys):
+        rc = main(["enhance", "--ring-cap", "32", str(wavs / "in.wav"),
+                   "-o", str(tmp_path)])
+        assert rc == 2
+        assert "--ring-cap" in capsys.readouterr().err
+        assert not (tmp_path / "in.enhanced.wav").exists()
+
     def test_missing_input_is_runtime_error(self, tmp_path, capsys):
         rc = main(["enhance", str(tmp_path / "absent.wav"), "-o", str(tmp_path)])
         assert rc == 1
@@ -169,6 +176,14 @@ class TestBenchCommand:
         assert "--noise" in capsys.readouterr().err
         assert not (tmp_path / "bench.csv").exists()
 
+    @pytest.mark.parametrize("noise", ["noise_long.wav", "noise_short.wav"])
+    def test_negative_seed_is_usage_error(self, wavs, tmp_path, capsys, noise):
+        rc = main(["bench", str(wavs / "in.wav"), "--noise", str(wavs / noise),
+                   "--snr", "0", "--mode", "logmmse", "--seed", "-1", "-o", str(tmp_path)])
+        assert rc == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "bench.csv").exists()
+
     def test_nonfinite_snr_is_usage_error(self, wavs, tmp_path, capsys):
         rc = main(["bench", str(wavs / "in.wav"),
                    "--noise", str(wavs / "noise_long.wav"),
@@ -220,6 +235,14 @@ class TestConfigFile:
                    "-o", str(tmp_path)])
         assert rc == 2
         assert "gain" in capsys.readouterr().err
+
+    def test_ring_cap_key_is_unknown(self, wavs, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("ring_cap = 32\n")
+        rc = main(["enhance", str(wavs / "in.wav"), "--config", str(cfg),
+                   "-o", str(tmp_path)])
+        assert rc == 2
+        assert "unknown key 'ring_cap'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("lines, flags, modes", [
         ("mode = mdkm\n", ["--mode", "logmmse"], ["logmmse"]),

@@ -6,6 +6,7 @@ from scipy.signal import lfilter
 
 import modkalm.enhancer as enh
 from modkalm.enhancer import Diagnostics, EnhancerConfig, Mode, diagnose, enhance
+from modkalm.gaussring import DEFAULT_RING_CAP
 from modkalm.kalman import MomentPair
 from modkalm.logmmse import logmmse_enhance, track_noise
 from modkalm.metrics import seg_snr
@@ -88,8 +89,6 @@ class TestConfig:
             EnhancerConfig(speech_order=0)
         with pytest.raises(ValueError):
             EnhancerConfig(speech_order=8, mod_frames=8)
-        with pytest.raises(ValueError):
-            EnhancerConfig(ring_cap=0)
 
 
 class TestInputContract:
@@ -123,15 +122,14 @@ class TestInputContract:
             with pytest.raises(ValueError, match=f"{field} must be a positive, finite"):
                 run(x, RATE, EnhancerConfig(mode=Mode.MDKM, **{field: bad}))
 
-    @pytest.mark.parametrize("field", ["speech_order", "noise_order", "mod_frames",
-                                       "ring_cap"])
+    @pytest.mark.parametrize("field", ["speech_order", "noise_order", "mod_frames"])
     @pytest.mark.parametrize("bad", [2.5, 8.0, True, "3"])
     def test_non_integer_setting_rejected(self, field, bad):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             EnhancerConfig(mode=Mode.MDKR, **{field: bad})
 
     @pytest.mark.parametrize("field, value", [("speech_order", 2), ("noise_order", 3),
-                                              ("mod_frames", 6), ("ring_cap", 32)])
+                                              ("mod_frames", 6)])
     def test_numpy_integer_setting_accepted(self, field, value):
         cfg = EnhancerConfig(mode=Mode.MDKR, **{field: np.int64(value)})
         assert getattr(cfg, field) == value
@@ -242,12 +240,12 @@ class TestRingCellCall:
 
         monkeypatch.setattr(enh, "mdkr_cell", spy)
         y = add_white(voiced_babble(5, dur=0.3), 5, 0.0)
-        diag = diagnose(y, RATE, EnhancerConfig(mode=Mode.MDKR, ring_cap=16))
+        diag = diagnose(y, RATE, EnhancerConfig(mode=Mode.MDKR))
         assert len(calls) == diag.g_speech.size
         for args, kwargs in calls:
             assert [type(a) for a in args] == [float] * 4 + [complex]
             assert set(kwargs) == {"cap", "counters", "info"}
-            assert kwargs["cap"] == 16
+            assert kwargs["cap"] == DEFAULT_RING_CAP
             assert kwargs["counters"] is diag.counters
             assert isinstance(kwargs["info"], dict)
 

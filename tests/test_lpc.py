@@ -4,7 +4,6 @@ import pytest
 from scipy.signal import lfilter
 
 from modkalm.lpc import (
-    autocorrelation,
     frame_model_index,
     levinson_grid,
     noise_lpc_grid,
@@ -13,6 +12,7 @@ from modkalm.lpc import (
 )
 from reference import (
     ModulationLpcModel,
+    autocorrelation,
     levinson,
     models_per_frame,
     noise_lpc_track,
@@ -325,3 +325,8 @@ class TestGridFits:
             speech_lpc_grid(np.ones(6), 4, 2)
         with pytest.raises(ValueError, match="vad"):
             noise_lpc_grid(amps, vad[:5], 4, 2)
+        for order in (-1, 4):
+            with pytest.raises(ValueError, match="order"):
+                speech_lpc_grid(amps, 4, order)
+            with pytest.raises(ValueError, match="order"):
+                noise_lpc_grid(amps, vad, 4, order)

@@ -85,7 +85,7 @@ def _use_the_package(tmp_path) -> None:
     write_wav(tmp_path / "noise.wav", np.random.default_rng(2).standard_normal(6000) * 0.1,
               RATE)
     config = tmp_path / "run.cfg"
-    config.write_text("mode = mdkm\nring_cap = 32\n")
+    config.write_text("mode = mdkm\np = 2\n")
     out = tmp_path / "out"
     assert modkalm.cli.main(["enhance", "--config", str(config), str(tmp_path / "a.wav"),
                              "-o", str(out), "--workers", "1"]) == 0
