@@ -159,6 +159,14 @@ def _init_rows(amp0, psd0, p: int, q: int, diffuse: float):
     return a, P
 
 
+def _nonfinite_rows(v: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Rows of a (k, d) ``v`` and a (k, d, d) ``M`` that hold a NaN or an
+    infinity; the whole-array test first, since nearly every frame has none."""
+    if np.isfinite(v).all() and np.isfinite(M).all():
+        return np.zeros(v.shape[0], dtype=bool)
+    return ~(np.isfinite(v).all(axis=1) & np.isfinite(M).all(axis=(1, 2)))
+
+
 def _kalman_amplitudes(spec, noise: NoiseTrack, pre, cfg: EnhancerConfig,
                        counters: dict):
     amps = spec.amplitude
@@ -206,20 +214,18 @@ def _kalman_amplitudes(spec, noise: NoiseTrack, pre, cfg: EnhancerConfig,
         # keep the prior marginals strictly positive and finite
         mu = prior.mu
         Sigma = prior.sigma
-        bad = ~(np.isfinite(mu).all(axis=1) & np.isfinite(Sigma).all(axis=(1, 2)))
+        bad = _nonfinite_rows(mu, Sigma)
         if bad.any():
             mu[bad] = 0.0
             Sigma[bad] = np.eye(mu.shape[1]) * mean_power
-        diag = np.einsum("kii->ki", Sigma)
-        np.maximum(diag[:, 0], sfloor, out=diag[:, 0])
+        np.maximum(Sigma[:, 0, 0], sfloor, out=Sigma[:, 0, 0])
         if q:
-            np.maximum(diag[:, 1], nfloor, out=diag[:, 1])
+            np.maximum(Sigma[:, 1, 1], nfloor, out=Sigma[:, 1, 1])
             mcap = _NOISE_MEAN_CAP * np.sqrt(np.pi * noise.psd[n] / 4.0)
             over = mu[:, 1] > mcap
             if over.any():
                 mu[over, 1] = mcap[over]
                 tally(counters, "noise_mean_clamped", np.count_nonzero(over))
-        prior = MomentPair(mu, Sigma)
 
         if q == 0:
             gprior = fit_gamma_prior(mu[:, 0], Sigma[:, 0, 0], counters)
@@ -255,10 +261,7 @@ def _kalman_amplitudes(spec, noise: NoiseTrack, pre, cfg: EnhancerConfig,
         # a non-finite posterior or a row the update cannot invert comes back
         # non-finite and is reset here: the one per-cell fault path
         state = update(state, prior, posterior, counters)
-        row_bad = bad | ~(
-            np.isfinite(state.a).all(axis=1)
-            & np.isfinite(state.P).all(axis=(1, 2))
-        )
+        row_bad = bad | _nonfinite_rows(state.a, state.P)
         est = np.maximum(posterior.mu[:, 0], 0.0)
         if row_bad.any():
             est = est.copy()

@@ -110,16 +110,17 @@ def mdkm_posterior(prior: GammaPrior, nu2, y, counters: dict | None = None):
         raise ValueError("SNRs must be nonnegative")
     if not (np.isfinite(zeta).all() and np.isfinite(xi).all()):
         raise ValueError("SNRs must be finite")
-    gamma, zeta, xi = np.broadcast_arrays(gamma, zeta, xi)
-    y = np.broadcast_to(y, gamma.shape)
-    nu2 = np.broadcast_to(nu2, gamma.shape)
+    if not gamma.shape == zeta.shape == xi.shape == y.shape == nu2.shape:
+        gamma, zeta, xi = np.broadcast_arrays(gamma, zeta, xi)
+        y = np.broadcast_to(y, gamma.shape)
+        nu2 = np.broadcast_to(nu2, gamma.shape)
 
-    x = zeta * xi / (gamma + xi)
+    den = gamma + xi
+    x = zeta * xi / den
     big = x >= _KUMMER_X_MAX  # beyond the box: the Wiener-like limit below
     logm = kummer_m_log(np.stack([gamma, gamma + 0.5, gamma + 1.0]),
                         np.where(big, 0.0, x)[None])
-    ratio_half = np.exp(logm[1] - logm[0])
-    ratio_one = np.exp(logm[2] - logm[0])
+    ratio_half, ratio_one = np.exp(logm[1:] - logm[0])
     half = gamma_half_ratio(gamma)
     if big.any():
         # beyond the box the M-ratios have converged to their leading
@@ -128,7 +129,7 @@ def mdkm_posterior(prior: GammaPrior, nu2, y, counters: dict | None = None):
         ratio_one = np.where(big, x / gamma, ratio_one)
 
     # per-dimension posterior scale: β'² = β²ν²/(β²+ν²) = ν²ξ/(γ+ξ)
-    scale2 = nu2 * xi / (gamma + xi)
+    scale2 = nu2 * xi / den
     mean = half * np.sqrt(scale2) * ratio_half
     second = gamma * scale2 * ratio_one
 

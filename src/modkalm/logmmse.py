@@ -7,8 +7,6 @@ frame flags used by the noise model estimator.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import minimum_filter1d
-from scipy.signal import lfilter
 from scipy.special import exp1
 
 from .stft import ComplexSpectrogram
@@ -66,28 +64,18 @@ def track_noise(noisy: ComplexSpectrogram) -> NoiseTrack:
         seed_n = max(1, min(int(round(WARMUP_SECONDS * cfg.sample_rate
                                       / cfg.frame_inc)), body.shape[0]))
         seed = body[:seed_n].mean(axis=0)
-        # y[n] = a*y[n-1] + (1-a)*power[n], started from the seed average
-        core, _ = lfilter(
-            [1.0 - SMOOTH_ALPHA], [1.0, -SMOOTH_ALPHA], body, axis=0,
-            zi=(SMOOTH_ALPHA * seed)[None, :],
-        )
+        # the recursion starts from the seed average
+        core = _smooth_power(body, SMOOTH_ALPHA * seed)
         smooth = np.concatenate([np.repeat(core[:1], guard, axis=0), core])
         smooth[-guard:] = smooth[-guard - 1]
     else:
-        smooth, _ = lfilter(
-            [1.0 - SMOOTH_ALPHA], [1.0, -SMOOTH_ALPHA], power, axis=0,
-            zi=(SMOOTH_ALPHA * power[0])[None, :],
-        )
+        smooth = _smooth_power(power, SMOOTH_ALPHA * power[0])
 
     width = int(round(MIN_TRACK_SECONDS * cfg.sample_rate / cfg.frame_inc))
     if width % 2 == 0:
         width -= 1
     width = max(width, 1)
-    # positive origin turns the centred window into the trailing window
-    # [n-width+1, n]; 'nearest' padding restricts it to available frames
-    floor_track = minimum_filter1d(
-        smooth, size=width, axis=0, mode="nearest", origin=width // 2
-    )
+    floor_track = _trailing_min(smooth, width)
 
     floor = PSD_FLOOR_REL * power.mean()
     if floor <= 0.0:
@@ -97,6 +85,35 @@ def track_noise(noisy: ComplexSpectrogram) -> NoiseTrack:
     quiet = power < VAD_SNR_LIMIT * psd
     vad = quiet.mean(axis=1) >= VAD_BIN_FRACTION
     return NoiseTrack(psd=psd, vad=vad)
+
+
+def _smooth_power(power: np.ndarray, carry: np.ndarray) -> np.ndarray:
+    """y[n] = a·y[n-1] + (1-a)·power[n] down axis 0 with a = SMOOTH_ALPHA,
+    where ``carry`` stands for a·y[-1].  Each step is the operation of the
+    first-order ``scipy.signal.lfilter([1-a], [1, -a], zi=carry)``, which
+    forms carry + (1-a)·x and then carries a·y, so the bits are its bits."""
+    scaled = (1.0 - SMOOTH_ALPHA) * power
+    out = np.empty_like(power)
+    for n in range(power.shape[0]):
+        np.add(carry, scaled[n], out=out[n])
+        carry = SMOOTH_ALPHA * out[n]
+    return out
+
+
+def _trailing_min(x: np.ndarray, width: int) -> np.ndarray:
+    """out[n] = min(x[max(0, n-width+1) : n+1]) down axis 0.
+
+    The window doubles each pass, so it takes ⌈log₂ width⌉ passes of one
+    ``np.minimum`` each; a minimum needs no rounding, so the result is that
+    of any other order, ``scipy.ndimage.minimum_filter1d`` included.
+    """
+    out = x.copy()
+    span = 1  # out[n] holds the minimum over the last `span` frames
+    while span < width:
+        step = min(span, width - span)
+        out[step:] = np.minimum(out[step:], out[:-step])
+        span += step
+    return out
 
 
 def logmmse_gain(xi, gamma_post):

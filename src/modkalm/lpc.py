@@ -11,7 +11,8 @@ companion-matrix convention: predicted a_n = -sum_i b_i * a_{n-i}.
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import get_window
+
+from .stft import periodic_hamming
 
 __all__ = [
     "levinson_grid",
@@ -39,7 +40,7 @@ def _mod_window(amps: np.ndarray, mod_frames: int, order: int):
             f"mod_frames {mod_frames} must be in [1, track length {amps.shape[0]}]")
     if not 0 <= order < mod_frames:
         raise ValueError(f"order {order} must be in [0, mod_frames {mod_frames})")
-    win = get_window("hamming", mod_frames, fftbins=True)
+    win = periodic_hamming(mod_frames)
     wlags = np.array([np.dot(win[: mod_frames - l], win[l:]) for l in range(order + 1)])
     return win, wlags
 

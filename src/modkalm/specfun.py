@@ -65,23 +65,36 @@ def _log_kummer_series(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     past its stop, t <= 1e-17 s is under half an ulp of s (> 2^-54 s) and
     the ratio (a+k)x/(k+1)^2 falls for k >= 1.  A running ``a + k`` would
     round differently.
+
+    The overflow test (a total above 1e250 is rescaled by 1e-250) runs only
+    in a block of passes where a total could pass 1e250 before the next stop
+    test.  A pass multiplies a term by (a+k)x/(k+1)^2 <= max(a, 1)·x, and a
+    term never exceeds its total, so a pass multiplies a total by at most
+    1 + max(a, 1)·max(x).  The test is switched on when the largest total
+    times that bound to the power ``_STOP_EVERY`` exceeds 1e249, a tenth of
+    the threshold, which leaves room for rounding.  So every rescale falls
+    on the pass where a test after every pass would make it.
     """
     total, term, shift = np.ones(a.size), np.ones(a.size), np.zeros(a.size)
+    growth = (1.0 + max(a.max(), 1.0) * x.max()) ** _STOP_EVERY
     k = 0
-    while k <= 200000:
-        term *= a + k
-        term *= x
-        term /= (1.0 + k) * (k + 1.0)
-        total += term
-        big = total > 1e250
-        if big.any():
-            term[big] *= 1e-250
-            total[big] *= 1e-250
-            shift[big] += 250.0 * _LN10
-        k += 1
+    while k < 200000:
+        guard = total.max() * growth > 1e249
+        for _ in range(_STOP_EVERY):
+            term *= a + k
+            term *= x
+            term /= (1.0 + k) * (k + 1.0)
+            total += term
+            if guard:
+                big = total > 1e250
+                if big.any():
+                    term[big] *= 1e-250
+                    total[big] *= 1e-250
+                    shift[big] += 250.0 * _LN10
+            k += 1
         # safe to stop once the term is negligible and the ratio is falling
-        if k % _STOP_EVERY == 0 and ((term <= total * 1e-17)
-                                     & ((a + k) * x < 0.9 * (1.0 + k) * (k + 1.0))).all():
+        if ((term <= total * 1e-17).all()
+                and ((a + k) * x < 0.9 * (1.0 + k) * (k + 1.0)).all()):
             return np.log(total) + shift
     raise RuntimeError("kummer series failed to converge")
 
@@ -121,10 +134,12 @@ def kummer_m_log(a, x) -> np.ndarray:
         raise ValueError(f"x must be in [0, {_KUMMER_X_MAX}]")
     a_flat = a_arr.ravel()
     x_flat = x_arr.ravel()
-    out = np.zeros_like(a_flat)
     # M(0;1;x) = 1 exactly; the large-x expansion divides by Gamma(a), so
     # route a == 0 around both branches.
     use_series = (x_flat <= _series_switch(a_flat)) & (a_flat > 0)
+    if a_flat.size and use_series.all():
+        return _log_kummer_series(a_flat, x_flat).reshape(a_arr.shape)
+    out = np.zeros_like(a_flat)
     if use_series.any():
         out[use_series] = _log_kummer_series(a_flat[use_series], x_flat[use_series])
     use_asym = ~use_series & (a_flat > 0)

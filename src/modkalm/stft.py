@@ -14,11 +14,11 @@ from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import get_window
 
 __all__ = [
     "FrameConfig",
     "ComplexSpectrogram",
+    "periodic_hamming",
     "analyze",
     "synthesize",
     "read_wav",
@@ -63,7 +63,17 @@ class FrameConfig:
     def window_samples(self) -> np.ndarray:
         # periodic form: required for constant squared-window overlap at
         # len/inc = 4
-        return get_window("hamming", self.frame_len, fftbins=True)
+        return periodic_hamming(self.frame_len)
+
+
+def periodic_hamming(n: int) -> np.ndarray:
+    """Periodic (DFT-even) Hamming window of length ``n``: the first ``n``
+    samples of the symmetric window of length n + 1.  Formed with the
+    operations of ``scipy.signal.get_window("hamming", n)``, so it has the
+    same bits."""
+    if n <= 1:
+        return np.ones(n)
+    return 0.54 + (1.0 - 0.54) * np.cos(np.linspace(-np.pi, np.pi, n + 1)[:-1])
 
 
 @dataclass

@@ -13,7 +13,10 @@ With ``--baseline DIR`` each workload and seed also runs in the checkout at
 DIR, and the two trees take turns to go first from one seed to the next.
 The record then holds both trees' runs and, per metric, how many of the
 pairs the change won, lost and tied (the direction comes from
-``BENCHMARK.json``).  The file is rewritten after every run, so an
+``BENCHMARK.json``), the baseline's quartile spread (q3 - q1), the
+change's median minus the baseline's, and ``gain_rule``: whether the change
+won at least nine tenths of the pairs and its median is better than the
+baseline's by more than that spread, the rule a claimed gain must meet.  The file is rewritten after every run, so an
 interrupted recording keeps what it measured.  The file name does not
 match ``test_*.py``, so pytest does not collect it.
 """
@@ -72,13 +75,25 @@ def summary(runs: list[dict]) -> dict:
 
 
 def pair_counts(change: list[dict], base: list[dict], lower_better: dict) -> dict:
+    """Per metric: the pairs the change won, lost and tied; the baseline's
+    quartile spread; the change's median minus the baseline's; and whether
+    the gain rule holds: the change wins at least nine tenths of the pairs
+    and its median is better by more than the baseline's spread."""
     out = {}
+    c_sum, b_sum = summary(change), summary(base)
     for name, lower in lower_better.items():
-        diffs = [(c["metrics"][name] - b["metrics"][name]) * (1 if lower else -1)
+        sign = 1 if lower else -1
+        diffs = [(c["metrics"][name] - b["metrics"][name]) * sign
                  for c, b in zip(change, base)]
-        out[name] = {"change_better": sum(d < 0 for d in diffs),
+        won = sum(d < 0 for d in diffs)
+        iqr = b_sum[name]["q3"] - b_sum[name]["q1"]
+        median_diff = c_sum[name]["median"] - b_sum[name]["median"]
+        out[name] = {"change_better": won,
                      "change_worse": sum(d > 0 for d in diffs),
-                     "equal": sum(d == 0 for d in diffs)}
+                     "equal": sum(d == 0 for d in diffs),
+                     "baseline_iqr": iqr,
+                     "median_diff": median_diff,
+                     "gain_rule": 10 * won >= 9 * len(diffs) and -sign * median_diff > iqr}
     return out
 
 

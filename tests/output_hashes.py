@@ -18,6 +18,12 @@ all-zero rows through the LPC fits)::
 
     silent/mode/0 <sha256 of the float64 enhance output> <counters dict>
 
+and, for each mode, seed 0 at ``HISNR_DB`` white noise, where some calls of
+the Kummer function mix its series and large-x routes (at 0 dB every call
+takes the series alone)::
+
+    hisnr/mode/0 <sha256 of the float64 enhance output> <counters dict>
+
 Two checkouts whose outputs and counters are identical print identical
 lines, so a change that must keep the output bit-identical is checked by
 running this before and after it::
@@ -48,6 +54,7 @@ from test_acceptance import RATE, add_white, bench_signal  # noqa: E402
 MODES = ("logmmse", "mdkm", "mdkr")
 SEEDS = range(5)
 SILENT_SECONDS = 0.3
+HISNR_DB = 20.0
 
 
 def _print_run(tag: str, noisy: np.ndarray, mode: str) -> None:
@@ -77,6 +84,8 @@ def main() -> int:
     silent[: int(SILENT_SECONDS * RATE)] = 0.0
     for mode in MODES:
         _print_run(f"silent/{mode}/0", silent, mode)
+    for mode in MODES:
+        _print_run(f"hisnr/{mode}/0", add_white(bench_signal(0), 0, HISNR_DB), mode)
     return 0
 
 

@@ -145,26 +145,32 @@ class TestPredict:
 
 
 ROW_KINDS = ("healthy", "ill", "indefinite", "zero")
+# a 1x1 Σ has condition number 1, so the speech-only layout has no "ill" row
+SPEECH_ONLY_KINDS = ("healthy", "indefinite", "zero", "nonfinite")
 
 
 def mixed_row(rng, kind, p, q):
     """State a, P, prior (μ, Σ) and posterior (μ, Σ) of one update row:
-    ``healthy``; ``ill`` (picked rows of P nearly parallel, cond(Σ) ~ 1e18);
-    ``indefinite`` (indefinite posterior Σ, so the updated P is too);
-    ``zero`` (prior Σ of zeros, which has no inverse)."""
+    ``healthy``; ``ill`` (picked rows of P nearly parallel, cond(Σ) ~ 1e18,
+    so q > 0 only); ``indefinite`` (indefinite posterior Σ, so the updated
+    P is too); ``zero`` (prior Σ of zeros, which has no inverse);
+    ``nonfinite`` (prior Σ of infinities)."""
     n = p + q
-    sel = [0, p]
+    sel = [0, p] if q else [0]
+    d = len(sel)
     B = rng.standard_normal((n, n))
     if kind == "ill":
         B[p] = 0.7 * B[0] + 1e-9 * rng.standard_normal(n)
     P = B @ B.T + (0.0 if kind == "ill" else n) * np.eye(n)
     a = np.abs(rng.standard_normal(n)) + 1.0
     mu, Sigma = a[sel], P[np.ix_(sel, sel)]
-    mu_post, Sigma_post = mu * rng.uniform(0.5, 1.2, 2), 0.6 * Sigma
+    mu_post, Sigma_post = mu * rng.uniform(0.5, 1.2, d), 0.6 * Sigma
     if kind == "indefinite":
-        Sigma_post = np.diag([1.0, -0.5]) * np.trace(Sigma)
+        Sigma_post = np.diag([1.0, -0.5][-d:]) * np.trace(Sigma)
     if kind == "zero":
-        Sigma = np.zeros((2, 2))
+        Sigma = np.zeros((d, d))
+    if kind == "nonfinite":
+        Sigma = np.full((d, d), np.inf)
     return a, P, mu, Sigma, mu_post, Sigma_post
 
 
@@ -321,16 +327,9 @@ class TestUpdate:
             projected.append(counters.get("psd_projected", 0))
         assert projected in ([0, 0, 0], [1, 1, 1])
 
-    @settings(derandomize=True, deadline=None, max_examples=50)
-    @given(kinds=st.lists(st.sampled_from(ROW_KINDS), max_size=6).flatmap(
-               lambda extra: st.permutations(list(ROW_KINDS) + extra)),
-           seed=st.integers(0, 2**32 - 1))
-    def test_batched_matches_loop(self, kinds, seed):
-        # each row is updated as if it were alone, whatever its neighbours:
-        # healthy rows next to an ill-conditioned Σ, an indefinite updated P
-        # and a zero Σ, which comes back NaN instead of raising
+    @staticmethod
+    def check_batched_matches_loop(p, q, kinds, seed):
         rng = np.random.default_rng(seed)
-        p, q = 3, 2
         a, P, mu, Sigma, mu_post, Sigma_post = (
             np.stack(col) for col in zip(*(mixed_row(rng, kind, p, q) for kind in kinds)))
         counters = {}
@@ -344,7 +343,7 @@ class TestUpdate:
                 MomentPair(mu_post[b], Sigma_post[b]),
                 loop_counters,
             )
-            if kind == "zero":
+            if kind in ("zero", "nonfinite"):
                 assert np.isnan(out.a[b]).all() and np.isnan(out.P[b]).all()
                 assert np.isnan(single.a).all() and np.isnan(single.P).all()
                 continue
@@ -354,8 +353,27 @@ class TestUpdate:
             assert np.array_equal(out.P[b], single.P)
             assert np.isfinite(out.a[b]).all() and np.isfinite(out.P[b]).all()
         assert counters == loop_counters
-        assert counters["sigma_regularized"] == kinds.count("ill")
-        assert counters["psd_projected"] >= kinds.count("indefinite")
+        assert counters.get("sigma_regularized", 0) == kinds.count("ill")
+        assert counters.get("psd_projected", 0) >= kinds.count("indefinite")
+
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(kinds=st.lists(st.sampled_from(ROW_KINDS), max_size=6).flatmap(
+               lambda extra: st.permutations(list(ROW_KINDS) + extra)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_batched_matches_loop(self, kinds, seed):
+        # each row is updated as if it were alone, whatever its neighbours:
+        # healthy rows next to an ill-conditioned Σ, an indefinite updated P
+        # and a zero Σ, which comes back NaN instead of raising
+        self.check_batched_matches_loop(3, 2, kinds, seed)
+
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(kinds=st.lists(st.sampled_from(SPEECH_ONLY_KINDS), max_size=6).flatmap(
+               lambda extra: st.permutations(list(SPEECH_ONLY_KINDS) + extra)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_batched_matches_loop_speech_only(self, kinds, seed):
+        # the mdkm layout (q = 0, a 1x1 Σ): healthy rows next to a zero and
+        # an infinite Σ, which come back NaN, and an indefinite updated P
+        self.check_batched_matches_loop(3, 0, kinds, seed)
 
 
 class TestPsdCertificate:

@@ -1,11 +1,15 @@
 """Tests for the noise tracker and log-spectral amplitude baseline."""
 import numpy as np
 import pytest
-from scipy.ndimage import uniform_filter1d
+from scipy.ndimage import minimum_filter1d, uniform_filter1d
+from scipy.signal import lfilter
 
 from modkalm.logmmse import (
     GAIN_FLOOR,
+    SMOOTH_ALPHA,
     NoiseTrack,
+    _smooth_power,
+    _trailing_min,
     logmmse_enhance,
     logmmse_gain,
     track_noise,
@@ -135,6 +139,38 @@ class TestNoiseTrack:
         early = np.median(trk.psd[n_half - 30:n_half])
         late = np.median(trk.psd[-20:])
         assert late > 20 * early  # rises toward the new floor within ~1.5 s
+
+
+def power_grids(seed):
+    """(frames, bins) periodogram-like grids: exponential draws over a wide
+    range of scales, some with runs of exact zeros (digital silence)."""
+    rng = np.random.default_rng(seed)
+    for trial in range(40):
+        n = int(rng.integers(1, 420))
+        grid = rng.exponential(1.0, (n, int(rng.integers(1, 12))))
+        grid *= 10.0 ** rng.uniform(-300, 300)
+        if trial % 4 == 0:
+            grid[: n // 2] = 0.0
+        yield grid
+
+
+class TestScipyForms:
+    """The tracker's numpy forms have the bits of the scipy calls they replace."""
+
+    def test_smoothing_has_the_bits_of_lfilter(self):
+        for power in power_grids(1):
+            zi = SMOOTH_ALPHA * power[0]
+            want, _ = lfilter([1.0 - SMOOTH_ALPHA], [1.0, -SMOOTH_ALPHA], power,
+                              axis=0, zi=zi[None, :])
+            assert np.array_equal(_smooth_power(power, zi), want)
+
+    @pytest.mark.parametrize("width", [1, 3, 7, 187, 189, 421])
+    def test_trailing_min_has_the_bits_of_minimum_filter1d(self, width):
+        # origin width // 2 turns the centred window into the trailing one,
+        # and 'nearest' padding restricts it to the frames there are
+        for x in power_grids(width):
+            want = minimum_filter1d(x, size=width, axis=0, mode="nearest", origin=width // 2)
+            assert np.array_equal(_trailing_min(x, width), want)
 
 
 class TestEnhance:

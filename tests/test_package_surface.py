@@ -9,9 +9,12 @@ from the tests, so it belongs under ``tests/`` or nowhere.
 """
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
 import sys
 import types
+from pathlib import Path
 
 import numpy as np
 
@@ -116,3 +119,15 @@ def test_every_package_function_runs_in_real_use(tmp_path, capsys):
     stale = sorted(name for name in ALLOWED_UNREACHED
                    if name not in functions or functions[name] in entered)
     assert not stale, "allow-list entries that are gone or reached: " + ", ".join(stale)
+
+
+def test_cli_import_leaves_out_scipy_signal_and_ndimage():
+    # they cost most of a fresh `import modkalm.cli`, and the package
+    # needs nothing from them
+    src = str(Path(modkalm.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    code = ("import sys, modkalm.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.signal', 'scipy.ndimage'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from modkalm.specfun import _series_switch, gamma_half_ratio, kummer_m_log
+from modkalm.specfun import _STOP_EVERY, _series_switch, gamma_half_ratio, kummer_m_log
 from reference import log_kummer_series
 
 mpmath.mp.dps = 40
@@ -160,6 +160,33 @@ class TestKummerM:
         x[:600:7] = _series_switch(a[:600:7])
         want = log_kummer_series(a, x)
         assert (want > 250.0 * math.log(10.0)).sum() >= 3  # rescaled sums
+        assert np.array_equal(kummer_m_log(a, x), want)
+
+    @staticmethod
+    def first_rescale_pass(a, x):
+        """The pass on which the series total of M(a;1;x), summed with the
+        package's operations, first passes 1e250."""
+        term = total = 1.0
+        for n in range(100000):
+            term = term * (a + n) * x / ((1.0 + n) * (n + 1.0))
+            total += term
+            if total > 1e250:
+                return n + 1
+        raise AssertionError("no rescale")
+
+    @pytest.mark.parametrize("x, after_stop", [(3097.975493873468, 4), (3000.0, 1)])
+    def test_rescale_gate_keeps_the_reference_bits(self, x, after_stop):
+        # the lock-step series tests for overflow only in blocks where a
+        # total could pass 1e250 before the next stop test; here the largest
+        # total passes it on the fourth pass after a stop test (as far ahead
+        # as the gate's bound must reach) or on the first, next to
+        # small-x elements, and every element keeps the reference's bits
+        assert (self.first_rescale_pass(49.0, x) - after_stop) % _STOP_EVERY == 0
+        rng = np.random.default_rng(after_stop)
+        a = np.concatenate([[49.0], np.exp(rng.uniform(np.log(1e-3), np.log(49.5), 40))])
+        x = np.concatenate([[x], rng.uniform(0.0, 2.0, 40)])
+        want = log_kummer_series(a, x)
+        assert want[0] > 250.0 * math.log(10.0)  # the rescaled sum
         assert np.array_equal(kummer_m_log(a, x), want)
 
     def test_batch_independent_bitwise_at_b_one(self):

@@ -3,11 +3,13 @@ import wave
 
 import numpy as np
 import pytest
+from scipy.signal import get_window
 
 from modkalm.stft import (
     ComplexSpectrogram,
     FrameConfig,
     analyze,
+    periodic_hamming,
     read_wav,
     synthesize,
     write_wav,
@@ -27,6 +29,11 @@ class TestFrameConfig:
         n = np.arange(CFG.frame_len)
         hamming = 0.54 - 0.46 * np.cos(2 * np.pi * n / CFG.frame_len)
         assert CFG.window_samples() == pytest.approx(hamming, abs=1e-15)
+
+    def test_window_has_the_bits_of_scipy(self):
+        # the numpy form replaces scipy.signal's periodic Hamming window
+        for n in range(1, 2049):
+            assert np.array_equal(periodic_hamming(n), get_window("hamming", n, fftbins=True))
 
     def test_from_ms(self):
         cfg = FrameConfig.from_ms(16000, 32.0, 8.0)
