@@ -19,14 +19,13 @@ or from the shell: ``modkalm enhance --mode mdkr noisy.wav -o out/``.
 """
 from .enhancer import Diagnostics, EnhancerConfig, Mode, diagnose, enhance
 from .metrics import SegSnrReport, seg_snr
-from .stft import FrameConfig, read_wav, write_wav
+from .stft import read_wav, write_wav
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Diagnostics",
     "EnhancerConfig",
-    "FrameConfig",
     "Mode",
     "SegSnrReport",
     "diagnose",

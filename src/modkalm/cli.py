@@ -12,12 +12,13 @@ Two subcommands:
     requested enhancers, and write a segmental-SNR CSV plus a JSON bundle
     of per-run diagnostics.
 
-The argument parser is the one declaration of the options; the enhancer
-settings take their defaults from ``EnhancerConfig``.  A ``key = value``
-config file (``--config``) sets flags by their dest names (``out_dir``,
-``mod_frame_ms``, ``noise``, ...), each value parsed as that flag parses
-it; keys that only the other subcommand has are ignored, and a flag given
-on the command line replaces the file's value.
+The argument parser is the one declaration of the options; ``--mode`` is
+the one enhancer setting, since the framing and model orders are fixed at
+the paper's operating point.  A ``key = value`` config file (``--config``)
+sets flags by their dest names (``out_dir``, ``workers``, ``noise``, ...),
+each value parsed as that flag parses it; keys that only the other
+subcommand has are ignored, and a flag given on the command line replaces
+the file's value.
 
 Exit codes: 0 success, 1 runtime failure (I/O, bad audio), 2 usage error.
 ``MODKALM_LOG`` sets the log level (default WARNING).
@@ -37,9 +38,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .enhancer import SAMPLE_RATE, EnhancerConfig, Mode, diagnose
+from .enhancer import EnhancerConfig, Mode, diagnose
 from .metrics import seg_snr
-from .stft import FrameConfig, read_wav, write_wav
+from .stft import SAMPLE_RATE, read_wav, write_wav
 
 log = logging.getLogger("modkalm.cli")
 
@@ -53,17 +54,6 @@ def _add_shared(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--config", metavar="FILE",
                     help="key = value file setting flags by dest name; "
                          "flags given here replace its values")
-    ap.add_argument("--p", type=int, default=EnhancerConfig.speech_order,
-                    help="speech model order")
-    ap.add_argument("--q", type=int, default=EnhancerConfig.noise_order,
-                    help="noise model order (mdkr only; mdkm fixes it at 0)")
-    ap.add_argument("--frame-ms", type=float, default=EnhancerConfig.frame_ms)
-    ap.add_argument("--inc-ms", type=float, default=EnhancerConfig.inc_ms)
-    ap.add_argument("--mod-frame-ms", type=float,
-                    default=EnhancerConfig.mod_frames * EnhancerConfig.inc_ms,
-                    help="modulation analysis window, in milliseconds")
-    ap.add_argument("--seed", type=int, default=0,
-                    help="seed for benchmark noise alignment")
     ap.add_argument("--workers", type=int, default=1,
                     help="process count for file-level parallelism")
 
@@ -91,6 +81,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     bench.add_argument("--mode", action="append", choices=modes,
                        default=None,
                        help="enhancer to run (repeatable; default: all)")
+    bench.add_argument("--seed", type=int, default=0,
+                       help="seed for the noise excerpt's alignment")
     _add_shared(bench)
     return parser, {"enhance": enh, "bench": bench}
 
@@ -144,31 +136,6 @@ def _parse_args(argv) -> argparse.Namespace:
     return argparse.Namespace(**{**vars(ns), **vars(from_file), **vars(given)})
 
 
-def _enhancer_config(ns: argparse.Namespace, mode: str) -> EnhancerConfig:
-    if not (np.isfinite(ns.mod_frame_ms) and ns.mod_frame_ms > 0):
-        raise UsageError("--mod-frame-ms must be a positive, finite number of "
-                         f"milliseconds, got {ns.mod_frame_ms}")
-    try:
-        FrameConfig.from_ms(SAMPLE_RATE, ns.frame_ms, ns.inc_ms)
-    except ValueError as err:
-        raise UsageError(f"--frame-ms/--inc-ms give no valid framing: {err}") from err
-    mod_frames = ns.mod_frame_ms / ns.inc_ms
-    if not np.isfinite(mod_frames):
-        raise UsageError(f"--mod-frame-ms {ns.mod_frame_ms} spans more than "
-                         f"any number of --inc-ms {ns.inc_ms} hops")
-    try:
-        return EnhancerConfig(
-            mode=Mode(mode),
-            frame_ms=ns.frame_ms,
-            inc_ms=ns.inc_ms,
-            mod_frames=max(1, round(mod_frames)),
-            speech_order=ns.p,
-            noise_order=ns.q,
-        )
-    except ValueError as err:
-        raise UsageError(str(err)) from err
-
-
 def _expand(patterns) -> list[str]:
     paths: list[str] = []
     for pat in patterns:
@@ -204,7 +171,7 @@ def _enhance_one(job: tuple) -> str:
 
 
 def cmd_enhance(ns: argparse.Namespace) -> int:
-    cfg = _enhancer_config(ns, ns.mode)
+    cfg = EnhancerConfig(mode=Mode(ns.mode))
     paths = _expand(ns.inputs)
     os.makedirs(ns.out_dir, exist_ok=True)
     lines = _run_jobs(_enhance_one,
@@ -262,8 +229,10 @@ def cmd_bench(ns: argparse.Namespace) -> int:
         raise UsageError("bench needs --noise (a flag or a config key)")
     if not all(np.isfinite(ns.snr)):
         raise UsageError("SNR values must be finite")
+    if ns.seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {ns.seed}")
     modes = dict.fromkeys(ns.mode or [m.value for m in Mode])
-    configs = {mode: _enhancer_config(ns, mode) for mode in modes}
+    configs = {mode: EnhancerConfig(mode=Mode(mode)) for mode in modes}
     paths = _expand(ns.inputs)
     _expand([ns.noise])
     os.makedirs(ns.out_dir, exist_ok=True)
@@ -303,8 +272,6 @@ def main(argv=None) -> int:
         log.debug("parsed options: %s", vars(ns))
         if ns.workers < 1:
             raise UsageError("--workers must be at least 1")
-        if ns.seed < 0:
-            raise UsageError(f"--seed must be non-negative, got {ns.seed}")
         if ns.command == "enhance":
             return cmd_enhance(ns)
         return cmd_bench(ns)

@@ -6,6 +6,9 @@ Two update flavours share the machinery: the stationary-noise scalar update
 (gamma-shaped amplitude prior against the tracked noise floor) and the joint
 speech/noise update built on ring mixtures.  The plain log-spectral baseline
 is the degenerate mode that skips the Kalman stage entirely.
+
+The pipeline runs at one operating point, the framing of :mod:`.stft` and
+the model constants below; :class:`EnhancerConfig` chooses only the mode.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from .gaussring import DEFAULT_RING_CAP, mdkr_cell
 from .kalman import KalmanState, MomentPair, predict, tally, update
 from .logmmse import NoiseTrack, logmmse_enhance, track_noise
 from .lpc import frame_model_index, noise_lpc_grid, prediction_gain, speech_lpc_grid
-from .stft import FrameConfig, analyze, synthesize
+from .stft import SAMPLE_RATE, analyze, synthesize
 
 # Relative floors keeping degenerate cells solvable.  The speech floor is
 # deliberately larger than the noise floor: when both priors have collapsed
@@ -33,8 +36,12 @@ _ABS_FLOOR = 1e-300
 # Rayleigh amplitude exceeds 4x its mean with probability ~3e-6) so that
 # speech estimation residuals cannot masquerade as sudden noise bursts.
 _NOISE_MEAN_CAP = 4.0
-# the paper's operating point; the framing in milliseconds is set against it
-SAMPLE_RATE = 16000
+# the paper's model: 64 ms modulation windows (8 acoustic frames at hop 1),
+# speech order 3, and noise order 4 in mdkr (mdkm treats the noise as
+# stationary, q = 0)
+MOD_FRAMES = 8
+SPEECH_ORDER = 3
+NOISE_ORDER = 4
 
 
 class Mode(enum.Enum):
@@ -45,44 +52,15 @@ class Mode(enum.Enum):
 
 @dataclass(frozen=True)
 class EnhancerConfig:
-    """Pipeline settings for :data:`SAMPLE_RATE` input; the defaults match
-    the standard operating point (32 ms/8 ms acoustic frames, 64 ms
-    modulation windows, speech order 3, noise order 4 for joint tracking)."""
+    """Which enhancer to run on :data:`SAMPLE_RATE` input; framing and model
+    orders are the constants of :mod:`.stft` and this module."""
 
     mode: Mode = Mode.MDKR
-    frame_ms: float = 32.0
-    inc_ms: float = 8.0
-    mod_frames: int = 8           # modulation window length, in acoustic frames (hop 1)
-    speech_order: int = 3
-    noise_order: int | None = None  # None -> mode default (0 scalar, 4 joint)
 
     def __post_init__(self):
-        self.frame_config()
-        for name in ("speech_order", "noise_order", "mod_frames"):
-            value = getattr(self, name)
-            if value is None and name == "noise_order":
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.speech_order < 1:
-            raise ValueError("speech_order must be >= 1")
-        if self.mod_frames <= self.speech_order:
-            raise ValueError("modulation window must exceed the speech order")
-        # unset takes the mode's default; mdkm treats the noise as stationary,
-        # and like the speech model a noise model must fit its window
-        lo, hi = {Mode.MDKM: (0, 0), Mode.MDKR: (1, self.mod_frames - 1)}.get(
-            self.mode, (0, self.mod_frames - 1))
-        if self.noise_order is not None and not lo <= self.noise_order <= hi:
-            raise ValueError(f"{self.mode.value} needs noise_order in [{lo}, {hi}], "
-                             f"got {self.noise_order}")
-
-    def resolved_noise_order(self) -> int:
-        if self.mode is Mode.MDKR:
-            return 4 if self.noise_order is None else self.noise_order
-        return 0
-
-    def frame_config(self) -> FrameConfig:
-        return FrameConfig.from_ms(SAMPLE_RATE, self.frame_ms, self.inc_ms)
+        if not isinstance(self.mode, Mode):
+            raise ValueError(f"mode must be one of {', '.join(map(str, Mode))}, "
+                             f"got {self.mode!r}")
 
 
 @dataclass
@@ -125,8 +103,7 @@ def _run(samples, rate: int, cfg: EnhancerConfig) -> Diagnostics:
     if not np.any(x):
         return Diagnostics(np.zeros_like(x), cfg.mode, counters, None, None, None)
 
-    fcfg = cfg.frame_config()
-    spec = analyze(x, fcfg)
+    spec = analyze(x)
     noise = track_noise(spec)
     pre = logmmse_enhance(spec, noise)
 
@@ -134,8 +111,8 @@ def _run(samples, rate: int, cfg: EnhancerConfig) -> Diagnostics:
         amps_hat = pre
         g_s = g_n = gains = None
     else:
-        amps_hat, g_s, g_n, gains = _kalman_amplitudes(spec, noise, pre, cfg, counters)
-    out = synthesize(amps_hat, spec.phase, fcfg, n_samples=x.size)
+        amps_hat, g_s, g_n, gains = _kalman_amplitudes(spec, noise, pre, cfg.mode, counters)
+    out = synthesize(amps_hat, spec.phase, n_samples=x.size)
     return Diagnostics(out, cfg.mode, counters, g_s, g_n, gains)
 
 
@@ -167,19 +144,18 @@ def _nonfinite_rows(v: np.ndarray, M: np.ndarray) -> np.ndarray:
     return ~(np.isfinite(v).all(axis=1) & np.isfinite(M).all(axis=(1, 2)))
 
 
-def _kalman_amplitudes(spec, noise: NoiseTrack, pre, cfg: EnhancerConfig,
-                       counters: dict):
+def _kalman_amplitudes(spec, noise: NoiseTrack, pre, mode: Mode, counters: dict):
     amps = spec.amplitude
     zvals = spec.values
     n_frames, n_bins = amps.shape
-    p = cfg.speech_order
-    q = cfg.resolved_noise_order()
+    p = SPEECH_ORDER
+    q = NOISE_ORDER if mode is Mode.MDKR else 0
     dim = p + q
 
-    sp_c, sp_v = speech_lpc_grid(pre, cfg.mod_frames, p)
-    jmap = frame_model_index(n_frames, cfg.mod_frames, sp_c.shape[0])
+    sp_c, sp_v = speech_lpc_grid(pre, MOD_FRAMES, p)
+    jmap = frame_model_index(n_frames, MOD_FRAMES, sp_c.shape[0])
     if q:
-        nz_c, nz_v = noise_lpc_grid(amps, noise.vad, cfg.mod_frames, q)
+        nz_c, nz_v = noise_lpc_grid(amps, noise.vad, MOD_FRAMES, q)
 
     mean_power = float(np.mean(amps ** 2))
     sfloor = _SPEECH_FLOOR_REL * mean_power + _ABS_FLOOR
@@ -189,9 +165,8 @@ def _kalman_amplitudes(spec, noise: NoiseTrack, pre, cfg: EnhancerConfig,
     state = KalmanState(a0, P0, p, q)
 
     F = np.zeros((n_bins, dim, dim))
-    if p > 1:
-        F[:, 1:p, : p - 1] = np.eye(p - 1)
-    if q > 1:
+    F[:, 1:p, : p - 1] = np.eye(p - 1)
+    if q:
         F[:, p + 1:, p: dim - 1] = np.eye(q - 1)
     # fresh excitation enters the current speech and noise amplitudes only
     W = np.zeros((n_bins, dim, dim))

@@ -9,11 +9,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import exp1
 
-from .stft import ComplexSpectrogram
+from .stft import FRAME_INC, FRAME_LEN, SAMPLE_RATE, ComplexSpectrogram
 
 SMOOTH_ALPHA = 0.96           # recursive periodogram smoothing; calibrated so
                               # the fixed bias factor centres the estimate on
-                              # stationary noise under the default framing
+                              # stationary noise under the stft framing
 MIN_TRACK_SECONDS = 1.5       # sliding-minimum span
 MIN_TRACK_BIAS = 1.5          # compensates the downward bias of the minimum
 WARMUP_SECONDS = 0.2          # seed span for the smoother's initial state
@@ -54,15 +54,13 @@ def track_noise(noisy: ComplexSpectrogram) -> NoiseTrack:
     its bins sit below 3 dB a-posteriori SNR.
     """
     power = np.abs(noisy.values) ** 2
-    cfg = noisy.config
 
     # frames overlapping the analysis padding at either end carry partial
     # signal; keep them out of the noise-floor search
-    guard = -(-cfg.frame_len // cfg.frame_inc)
+    guard = -(-FRAME_LEN // FRAME_INC)
     if power.shape[0] > 2 * guard + 1:
         body = power[guard:]
-        seed_n = max(1, min(int(round(WARMUP_SECONDS * cfg.sample_rate
-                                      / cfg.frame_inc)), body.shape[0]))
+        seed_n = min(int(round(WARMUP_SECONDS * SAMPLE_RATE / FRAME_INC)), body.shape[0])
         seed = body[:seed_n].mean(axis=0)
         # the recursion starts from the seed average
         core = _smooth_power(body, SMOOTH_ALPHA * seed)
@@ -71,10 +69,9 @@ def track_noise(noisy: ComplexSpectrogram) -> NoiseTrack:
     else:
         smooth = _smooth_power(power, SMOOTH_ALPHA * power[0])
 
-    width = int(round(MIN_TRACK_SECONDS * cfg.sample_rate / cfg.frame_inc))
+    width = int(round(MIN_TRACK_SECONDS * SAMPLE_RATE / FRAME_INC))
     if width % 2 == 0:
         width -= 1
-    width = max(width, 1)
     floor_track = _trailing_min(smooth, width)
 
     floor = PSD_FLOOR_REL * power.mean()

@@ -1,4 +1,5 @@
-"""Framing, windowing, forward STFT and weighted overlap-add inverse.
+"""Framing, windowing, forward STFT and weighted overlap-add inverse, at the
+one operating point the enhancer runs at (16 kHz, 32 ms frames every 8 ms).
 
 The analysis applies a periodic Hamming window and keeps the one-sided
 spectrum; the synthesis applies the window a second time and divides by the
@@ -16,7 +17,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
-    "FrameConfig",
+    "SAMPLE_RATE",
+    "FRAME_LEN",
+    "FRAME_INC",
     "ComplexSpectrogram",
     "periodic_hamming",
     "analyze",
@@ -26,44 +29,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FrameConfig:
-    """Acoustic framing parameters; defaults are 16 kHz, 32 ms / 8 ms.  The
-    window is always the periodic Hamming window."""
-
-    sample_rate: int = 16000
-    frame_len: int = 512
-    frame_inc: int = 128
-
-    def __post_init__(self):
-        if self.frame_len <= 0:
-            raise ValueError("frame_len must be positive")
-        if not 0 < self.frame_inc <= self.frame_len:
-            raise ValueError("frame_inc must be in (0, frame_len]")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
-
-    @classmethod
-    def from_ms(cls, sample_rate: int, frame_ms: float = 32.0,
-                inc_ms: float = 8.0) -> "FrameConfig":
-        for name, ms in (("frame_ms", frame_ms), ("inc_ms", inc_ms)):
-            if not (np.isfinite(ms) and ms > 0):
-                raise ValueError(f"{name} must be a positive, finite number of "
-                                 f"milliseconds, got {ms}")
-        return cls(
-            sample_rate=sample_rate,
-            frame_len=int(round(sample_rate * frame_ms / 1000.0)),
-            frame_inc=int(round(sample_rate * inc_ms / 1000.0)),
-        )
-
-    @property
-    def n_bins(self) -> int:
-        return self.frame_len // 2 + 1
-
-    def window_samples(self) -> np.ndarray:
-        # periodic form: required for constant squared-window overlap at
-        # len/inc = 4
-        return periodic_hamming(self.frame_len)
+# the paper's operating point: 16 kHz, 32 ms frames every 8 ms.  The
+# periodic window's squared overlap is constant at FRAME_LEN / FRAME_INC = 4.
+SAMPLE_RATE = 16000
+FRAME_LEN = 512
+FRAME_INC = 128
 
 
 def periodic_hamming(n: int) -> np.ndarray:
@@ -81,7 +51,6 @@ class ComplexSpectrogram:
     """One-sided STFT grid: frame index along axis 0, bin index along axis 1."""
 
     values: np.ndarray
-    config: FrameConfig
 
     @property
     def amplitude(self) -> np.ndarray:
@@ -92,29 +61,24 @@ class ComplexSpectrogram:
         return np.angle(self.values)
 
 
-def analyze(signal, config: FrameConfig = FrameConfig()) -> ComplexSpectrogram:
+def analyze(signal) -> ComplexSpectrogram:
     """Windowed one-sided DFT of every frame of ``signal``.
 
-    The signal is zero-padded by frame_len at the front and by at least
-    frame_len at the back (rounded up so the hop divides the padded length),
+    The signal is zero-padded by FRAME_LEN at the front and by at least
+    FRAME_LEN at the back (rounded up so the hop divides the padded length),
     so every original sample is covered by a full set of overlapping frames.
     """
     x = np.asarray(signal, dtype=float).ravel()
-    if x.size < config.frame_len:
-        raise ValueError(
-            f"signal shorter than one frame ({x.size} < {config.frame_len})"
-        )
-    flen, inc = config.frame_len, config.frame_inc
-    pad_back = flen + (-(x.size + flen)) % inc
-    xp = np.concatenate([np.zeros(flen), x, np.zeros(pad_back)])
-    frames = sliding_window_view(xp, flen)[::inc]
-    win = config.window_samples()
-    values = np.fft.rfft(frames * win, axis=1)
-    return ComplexSpectrogram(values=values, config=config)
+    if x.size < FRAME_LEN:
+        raise ValueError(f"signal shorter than one frame ({x.size} < {FRAME_LEN})")
+    pad_back = FRAME_LEN + (-(x.size + FRAME_LEN)) % FRAME_INC
+    xp = np.concatenate([np.zeros(FRAME_LEN), x, np.zeros(pad_back)])
+    frames = sliding_window_view(xp, FRAME_LEN)[::FRAME_INC]
+    values = np.fft.rfft(frames * periodic_hamming(FRAME_LEN), axis=1)
+    return ComplexSpectrogram(values=values)
 
 
-def synthesize(amplitudes, phases, config: FrameConfig,
-               n_samples: int) -> np.ndarray:
+def synthesize(amplitudes, phases, n_samples: int) -> np.ndarray:
     """Weighted overlap-add reconstruction from amplitude and phase grids.
 
     Inverts :func:`analyze`: the synthesis window is applied again and the
@@ -125,15 +89,14 @@ def synthesize(amplitudes, phases, config: FrameConfig,
     ph = np.asarray(phases, dtype=float)
     if amp.shape != ph.shape or amp.ndim != 2:
         raise ValueError("amplitude/phase grids must be equal-shaped 2-D arrays")
-    if amp.shape[1] != config.n_bins:
-        raise ValueError(
-            f"grid has {amp.shape[1]} bins, config implies {config.n_bins}"
-        )
+    if amp.shape[1] != FRAME_LEN // 2 + 1:
+        raise ValueError(f"grid has {amp.shape[1]} bins, the framing gives "
+                         f"{FRAME_LEN // 2 + 1}")
     if np.any(amp < 0):
         raise ValueError("amplitudes must be nonnegative")
-    flen, inc = config.frame_len, config.frame_inc
+    flen, inc = FRAME_LEN, FRAME_INC
     n_frames = amp.shape[0]
-    win = config.window_samples()
+    win = periodic_hamming(flen)
     frames = np.fft.irfft(amp * np.exp(1j * ph), n=flen, axis=1) * win
     total = (n_frames - 1) * inc + flen
     y = np.zeros(total)

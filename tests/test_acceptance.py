@@ -22,7 +22,7 @@ from modkalm.gaussring import RAYLEIGH_GATE, build_ring, mdkr_cell
 from modkalm.kalman import KalmanState, MomentPair, update
 from modkalm.lpc import prediction_gain
 from modkalm.metrics import seg_snr
-from modkalm.stft import FrameConfig, analyze, synthesize
+from modkalm.stft import FRAME_LEN, analyze, synthesize
 from reference import NakagamiParams, autocorrelation, levinson, rician_from_nakagami
 
 RATE = 16000
@@ -327,13 +327,12 @@ def test_criterion_08_ring_marginal_fidelity():
 
 def test_criterion_09_stft_round_trip():
     """Analysis/synthesis must reproduce interior samples to 1e-10."""
-    cfg = FrameConfig()
-    flen = cfg.frame_len
+    flen = FRAME_LEN
     for seed in range(10):
         rng = np.random.default_rng(100 + seed)
         x = rng.standard_normal(RATE + 37 * seed)
-        spec = analyze(x, cfg)
-        out = synthesize(spec.amplitude, spec.phase, cfg, n_samples=x.size)
+        spec = analyze(x)
+        out = synthesize(spec.amplitude, spec.phase, n_samples=x.size)
         err = np.abs(out - x)[flen:-flen].max()
         assert err <= 1e-10, f"seed {seed}: interior round-trip error {err:.2e}"
 

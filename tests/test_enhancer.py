@@ -65,30 +65,29 @@ def gated_utterance(seed: int, dur: float = 1.6) -> np.ndarray:
     return sig / np.sqrt(np.mean(sig**2))
 
 
+def state_layouts(monkeypatch, mode) -> set:
+    """The (p, q) of every state the frame loop predicts from in ``mode``."""
+    real = enh.predict
+    seen = set()
+
+    def spy(state, *args, **kwargs):
+        seen.add((state.p, state.q))
+        return real(state, *args, **kwargs)
+
+    monkeypatch.setattr(enh, "predict", spy)
+    diagnose(add_white(voiced_babble(1, dur=0.3), 1, 5.0), RATE, EnhancerConfig(mode=mode))
+    return seen
+
+
 class TestConfig:
-    def test_defaults(self):
+    def test_defaults(self, monkeypatch):
         cfg = EnhancerConfig()
         assert cfg.mode is Mode.MDKR
-        assert cfg.speech_order == 3
-        assert cfg.resolved_noise_order() == 4
+        assert (enh.MOD_FRAMES, enh.SPEECH_ORDER, enh.NOISE_ORDER) == (8, 3, 4)
+        assert state_layouts(monkeypatch, cfg.mode) == {(3, 4)}
 
-    def test_mdkm_has_no_noise_rows(self):
-        assert EnhancerConfig(mode=Mode.MDKM).resolved_noise_order() == 0
-        assert EnhancerConfig(mode=Mode.MDKM, noise_order=0).resolved_noise_order() == 0
-
-    def test_mdkm_rejects_noise_rows(self):
-        with pytest.raises(ValueError):
-            EnhancerConfig(mode=Mode.MDKM, noise_order=4)
-
-    def test_mdkr_rejects_zero_noise_rows(self):
-        with pytest.raises(ValueError):
-            EnhancerConfig(mode=Mode.MDKR, noise_order=0)
-
-    def test_bad_orders(self):
-        with pytest.raises(ValueError):
-            EnhancerConfig(speech_order=0)
-        with pytest.raises(ValueError):
-            EnhancerConfig(speech_order=8, mod_frames=8)
+    def test_mdkm_has_no_noise_rows(self, monkeypatch):
+        assert state_layouts(monkeypatch, Mode.MDKM) == {(3, 0)}
 
 
 class TestInputContract:
@@ -114,35 +113,15 @@ class TestInputContract:
             with pytest.raises(ValueError, match="1 non-finite samples.*index 1234"):
                 run(x, RATE, EnhancerConfig(mode=mode))
 
-    @pytest.mark.parametrize("field", ["frame_ms", "inc_ms"])
-    @pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0, -8.0])
-    def test_bad_framing_rejected(self, field, bad):
+    @pytest.mark.parametrize("bad", ["mdkr", "logmmse", None])
+    def test_mode_must_be_a_mode_member(self, bad):
+        # the pipeline tells modes apart by identity, so anything but a Mode
+        # member would run as mdkm
         x = np.random.default_rng(3).standard_normal(8000)
         for run in (enhance, diagnose):
-            with pytest.raises(ValueError, match=f"{field} must be a positive, finite"):
-                run(x, RATE, EnhancerConfig(mode=Mode.MDKM, **{field: bad}))
-
-    @pytest.mark.parametrize("field", ["speech_order", "noise_order", "mod_frames"])
-    @pytest.mark.parametrize("bad", [2.5, 8.0, True, "3"])
-    def test_non_integer_setting_rejected(self, field, bad):
-        with pytest.raises(ValueError, match=f"{field} must be an integer"):
-            EnhancerConfig(mode=Mode.MDKR, **{field: bad})
-
-    @pytest.mark.parametrize("field, value", [("speech_order", 2), ("noise_order", 3),
-                                              ("mod_frames", 6)])
-    def test_numpy_integer_setting_accepted(self, field, value):
-        cfg = EnhancerConfig(mode=Mode.MDKR, **{field: np.int64(value)})
-        assert getattr(cfg, field) == value
-
-    @pytest.mark.parametrize("mode", [Mode.MDKM, Mode.MDKR])
-    @pytest.mark.parametrize("order, mod_frames", [(-1, 8), (8, 8), (9, 8), (6, 6)])
-    def test_noise_order_outside_window_rejected(self, mode, order, mod_frames):
-        with pytest.raises(ValueError, match="noise_order"):
-            EnhancerConfig(mode=mode, noise_order=order, mod_frames=mod_frames)
-
-    def test_largest_noise_order_accepted(self):
-        cfg = EnhancerConfig(mode=Mode.MDKR, noise_order=7)
-        assert cfg.resolved_noise_order() == 7
+            with pytest.raises(ValueError, match="mode must be one of Mode.LOGMMSE, "
+                                                 "Mode.MDKM, Mode.MDKR"):
+                run(x, RATE, EnhancerConfig(mode=bad))
 
     @pytest.mark.parametrize("n", [4000, 12345, 31999])
     def test_length_preserved(self, n):
@@ -154,11 +133,10 @@ class TestInputContract:
 class TestModes:
     def test_logmmse_mode_matches_direct_pipeline(self):
         y = add_white(voiced_babble(3, dur=0.8), 3, 5.0)
-        fcfg = EnhancerConfig().frame_config()
         out = enhance(y, RATE, EnhancerConfig(mode=Mode.LOGMMSE))
-        spec = analyze(y, fcfg)
+        spec = analyze(y)
         amps = logmmse_enhance(spec, track_noise(spec))
-        ref = synthesize(amps, spec.phase, fcfg, n_samples=y.size)
+        ref = synthesize(amps, spec.phase, n_samples=y.size)
         assert np.array_equal(out, ref)
 
     @pytest.mark.parametrize("mode", [Mode.MDKM, Mode.MDKR])

@@ -376,6 +376,28 @@ class TestUpdate:
         self.check_batched_matches_loop(3, 0, kinds, seed)
 
 
+    @pytest.mark.parametrize("q", [0, 4])
+    def test_state_stays_c_contiguous(self, q):
+        # predict's einsum and matmul round by memory layout, so the state the
+        # frame loop carries from update into the next predict keeps C order,
+        # on dead (zero Σ) and PSD-projected rows too
+        rng = np.random.default_rng(q)
+        p, kinds = 3, ["healthy", "zero", "indefinite", "healthy"]
+        a, P, mu, Sigma, mu_post, Sigma_post = (
+            np.stack(col) for col in zip(*(mixed_row(rng, kind, p, q) for kind in kinds)))
+        n = p + q
+        F = np.tile(0.9 * np.eye(n), (len(kinds), 1, 1))
+        W = np.tile(0.1 * np.eye(n), (len(kinds), 1, 1))
+        counters = {}
+        out = update(KalmanState(a, P, p, q), MomentPair(mu, Sigma),
+                     MomentPair(mu_post, Sigma_post), counters)
+        pred, _ = predict(out, F, W)
+        assert counters["psd_projected"] >= 1
+        assert np.isnan(out.a[1]).all()
+        for arr in (out.a, out.P, pred.a, pred.P):
+            assert arr.flags.c_contiguous
+
+
 class TestPsdCertificate:
     """The Cholesky certificate in ``update`` decides as ``eigvalsh`` alone."""
 

@@ -14,10 +14,9 @@ from modkalm.logmmse import (
     logmmse_gain,
     track_noise,
 )
-from modkalm.stft import ComplexSpectrogram, FrameConfig, analyze
+from modkalm.stft import FRAME_INC, FRAME_LEN, SAMPLE_RATE, analyze, periodic_hamming
 
-CFG = FrameConfig()
-WIN_POWER = (CFG.window_samples() ** 2).sum()
+WIN_POWER = (periodic_hamming(FRAME_LEN) ** 2).sum()
 
 
 def exp_integral_series(x: float, terms: int = 60) -> float:
@@ -32,7 +31,7 @@ def exp_integral_series(x: float, terms: int = 60) -> float:
 
 def gapped_harmonics(n_samples: int, level: float, seed: int = 1) -> np.ndarray:
     """Harmonic stack with utterance-like bursts separated by pauses."""
-    t = np.arange(n_samples) / CFG.sample_rate
+    t = np.arange(n_samples) / SAMPLE_RATE
     rng = np.random.default_rng(seed)
     sig = np.zeros_like(t)
     for k in range(1, 30):
@@ -91,7 +90,7 @@ class TestNoiseTrack:
     def test_white_noise_calibration(self):
         rng = np.random.default_rng(0)
         sigma = 0.3
-        trk = track_noise(analyze(rng.standard_normal(12 * CFG.sample_rate) * sigma))
+        trk = track_noise(analyze(rng.standard_normal(12 * SAMPLE_RATE) * sigma))
         rel = trk.psd[250:] / (sigma * sigma * WIN_POWER)
         assert abs(np.median(rel) - 1.0) < 0.10
         # the per-bin sliding minimum keeps a few percent of spread even
@@ -102,13 +101,13 @@ class TestNoiseTrack:
         assert trk.vad.mean() > 0.9
 
     def test_silence_hits_floor_and_flags_everything(self):
-        trk = track_noise(analyze(np.zeros(CFG.sample_rate)))
+        trk = track_noise(analyze(np.zeros(SAMPLE_RATE)))
         assert np.all(trk.psd > 0)
         assert np.ptp(trk.psd) == 0.0
         assert trk.vad.all()
 
     def test_clean_speech_leakage_stays_low(self):
-        sig = gapped_harmonics(4 * CFG.sample_rate, 0.05)
+        sig = gapped_harmonics(4 * SAMPLE_RATE, 0.05)
         spec = analyze(sig)
         trk = track_noise(spec)
         p = spec.amplitude ** 2
@@ -120,20 +119,20 @@ class TestNoiseTrack:
 
     def test_vad_separates_burst_from_noise(self):
         rng = np.random.default_rng(5)
-        n = 3 * CFG.sample_rate
+        n = 3 * SAMPLE_RATE
         sig = rng.standard_normal(n) * 0.05
         sig[24000:32000] += rng.standard_normal(8000)
         trk = track_noise(analyze(sig))
-        inc = CFG.frame_inc
-        burst = np.arange((24000 + CFG.frame_len) // inc + 4, 32000 // inc - 1)
+        inc = FRAME_INC
+        burst = np.arange((24000 + FRAME_LEN) // inc + 4, 32000 // inc - 1)
         quiet = np.arange(30, 24000 // inc - 4)
         assert trk.vad[burst].mean() == 0.0
         assert trk.vad[quiet].mean() > 0.9
 
     def test_tracks_noise_level_change_within_window(self):
         rng = np.random.default_rng(9)
-        lo = rng.standard_normal(4 * CFG.sample_rate) * 0.1
-        hi = rng.standard_normal(4 * CFG.sample_rate) * 1.0
+        lo = rng.standard_normal(4 * SAMPLE_RATE) * 0.1
+        hi = rng.standard_normal(4 * SAMPLE_RATE) * 1.0
         trk = track_noise(analyze(np.concatenate([lo, hi])))
         n_half = trk.psd.shape[0] // 2
         early = np.median(trk.psd[n_half - 30:n_half])
@@ -175,7 +174,7 @@ class TestScipyForms:
 
 class TestEnhance:
     def test_vanishing_noise_passes_signal_through(self):
-        t = np.arange(CFG.sample_rate) / CFG.sample_rate
+        t = np.arange(SAMPLE_RATE) / SAMPLE_RATE
         spec = analyze(np.sin(2 * np.pi * 440 * t))
         trk = NoiseTrack(
             psd=np.full(spec.values.shape, 1e-20),
@@ -186,7 +185,7 @@ class TestEnhance:
 
     def test_suppresses_noise_only_regions(self):
         rng = np.random.default_rng(3)
-        spec = analyze(rng.standard_normal(3 * CFG.sample_rate) * 0.1)
+        spec = analyze(rng.standard_normal(3 * SAMPLE_RATE) * 0.1)
         trk = track_noise(spec)
         out = logmmse_enhance(spec, trk)
         # skip the final frames, which cover the zero back-padding
@@ -199,7 +198,7 @@ class TestEnhance:
 
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(3)
-        spec = analyze(rng.standard_normal(CFG.sample_rate))
+        spec = analyze(rng.standard_normal(SAMPLE_RATE))
         trk = NoiseTrack(
             psd=np.ones((3, spec.values.shape[1])), vad=np.zeros(3, bool)
         )
@@ -208,7 +207,7 @@ class TestEnhance:
 
     def test_deterministic(self):
         rng = np.random.default_rng(12)
-        sig = rng.standard_normal(CFG.sample_rate)
+        sig = rng.standard_normal(SAMPLE_RATE)
         spec = analyze(sig)
         trk = track_noise(spec)
         a = logmmse_enhance(spec, trk)
@@ -219,7 +218,7 @@ class TestEnhance:
         # a stationary tone would (rightly) be absorbed into the noise
         # floor; bursty harmonics are what the tracker must let through
         rng = np.random.default_rng(21)
-        n = 4 * CFG.sample_rate
+        n = 4 * SAMPLE_RATE
         speech = gapped_harmonics(n, 0.05, seed=21)
         noisy = speech + rng.standard_normal(n) * 0.02
         spec = analyze(noisy)

@@ -9,6 +9,7 @@ from the tests, so it belongs under ``tests/`` or nowhere.
 """
 import importlib
 import inspect
+import dataclasses
 import os
 import pkgutil
 import subprocess
@@ -88,7 +89,7 @@ def _use_the_package(tmp_path) -> None:
     write_wav(tmp_path / "noise.wav", np.random.default_rng(2).standard_normal(6000) * 0.1,
               RATE)
     config = tmp_path / "run.cfg"
-    config.write_text("mode = mdkm\np = 2\n")
+    config.write_text("mode = mdkm\nworkers = 1\n")
     out = tmp_path / "out"
     assert modkalm.cli.main(["enhance", "--config", str(config), str(tmp_path / "a.wav"),
                              "-o", str(out), "--workers", "1"]) == 0
@@ -119,6 +120,19 @@ def test_every_package_function_runs_in_real_use(tmp_path, capsys):
     stale = sorted(name for name in ALLOWED_UNREACHED
                    if name not in functions or functions[name] in entered)
     assert not stale, "allow-list entries that are gone or reached: " + ", ".join(stale)
+
+
+def test_settable_surface_is_this_list():
+    # the framing and model orders are constants; a new knob is added here
+    # on purpose or not at all
+    assert {f.name for f in dataclasses.fields(EnhancerConfig)} == {"mode"}
+    _, subparsers = modkalm.cli._build_parser()
+    dests = {name: {a.dest for a in sp._actions if a.option_strings and a.dest != "help"}
+             for name, sp in subparsers.items()}
+    assert dests == {
+        "enhance": {"mode", "out_dir", "config", "workers"},
+        "bench": {"noise", "snr", "mode", "seed", "out_dir", "config", "workers"},
+    }
 
 
 def test_cli_import_leaves_out_scipy_signal_and_ndimage():

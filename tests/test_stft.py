@@ -6,8 +6,10 @@ import pytest
 from scipy.signal import get_window
 
 from modkalm.stft import (
+    FRAME_INC,
+    FRAME_LEN,
+    SAMPLE_RATE,
     ComplexSpectrogram,
-    FrameConfig,
     analyze,
     periodic_hamming,
     read_wav,
@@ -16,53 +18,42 @@ from modkalm.stft import (
 )
 
 
-CFG = FrameConfig()
-
-
 class TestFrameConfig:
+    """The framing constants and the window they rely on."""
+
     def test_defaults_match_standard_settings(self):
-        assert CFG.sample_rate == 16000
-        assert CFG.frame_len == 512      # 32 ms
-        assert CFG.frame_inc == 128      # 8 ms
-        assert CFG.n_bins == 257
+        assert SAMPLE_RATE == 16000
+        assert FRAME_LEN == 512      # 32 ms
+        assert FRAME_INC == 128      # 8 ms
+        assert analyze(np.ones(FRAME_LEN)).values.shape[1] == 257
         # the one window: periodic Hamming
-        n = np.arange(CFG.frame_len)
-        hamming = 0.54 - 0.46 * np.cos(2 * np.pi * n / CFG.frame_len)
-        assert CFG.window_samples() == pytest.approx(hamming, abs=1e-15)
+        n = np.arange(FRAME_LEN)
+        hamming = 0.54 - 0.46 * np.cos(2 * np.pi * n / FRAME_LEN)
+        assert periodic_hamming(FRAME_LEN) == pytest.approx(hamming, abs=1e-15)
 
     def test_window_has_the_bits_of_scipy(self):
         # the numpy form replaces scipy.signal's periodic Hamming window
         for n in range(1, 2049):
             assert np.array_equal(periodic_hamming(n), get_window("hamming", n, fftbins=True))
 
-    def test_from_ms(self):
-        cfg = FrameConfig.from_ms(16000, 32.0, 8.0)
-        assert cfg == CFG
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FrameConfig(frame_len=0)
-        with pytest.raises(ValueError):
-            FrameConfig(frame_inc=1024)
-
     def test_window_overlap_is_constant(self):
         # the squared periodic Hamming window sums to a constant at 75% overlap
-        win2 = CFG.window_samples() ** 2
-        total = np.zeros(CFG.frame_len * 8)
-        for s in range(0, total.size - CFG.frame_len + 1, CFG.frame_inc):
-            total[s:s + CFG.frame_len] += win2
-        interior = total[CFG.frame_len:-CFG.frame_len]
+        win2 = periodic_hamming(FRAME_LEN) ** 2
+        total = np.zeros(FRAME_LEN * 8)
+        for s in range(0, total.size - FRAME_LEN + 1, FRAME_INC):
+            total[s:s + FRAME_LEN] += win2
+        interior = total[FRAME_LEN:-FRAME_LEN]
         assert np.max(np.abs(interior / interior.mean() - 1.0)) < 1e-10
 
 
 class TestAnalyze:
     def test_zero_signal(self):
-        spect = analyze(np.zeros(4000), CFG)
+        spect = analyze(np.zeros(4000))
         assert np.all(spect.values == 0)
 
     def test_sinusoid_peaks_at_expected_bin(self):
         t = np.arange(16000) / 16000.0
-        spect = analyze(np.sin(2 * np.pi * 1000.0 * t), CFG)
+        spect = analyze(np.sin(2 * np.pi * 1000.0 * t))
         # 1 kHz at 512-sample frames -> bin 32; skip padding-dominated edges
         interior = spect.amplitude[4:-4]
         assert np.all(np.argmax(interior, axis=1) == 32)
@@ -70,9 +61,9 @@ class TestAnalyze:
     def test_parseval_per_frame(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(6000)
-        spect = analyze(x, CFG)
-        win = CFG.window_samples()
-        flen, inc = CFG.frame_len, CFG.frame_inc
+        spect = analyze(x)
+        win = periodic_hamming(FRAME_LEN)
+        flen, inc = FRAME_LEN, FRAME_INC
         xp = np.concatenate([np.zeros(flen), x,
                              np.zeros(flen + (-(x.size + flen)) % inc)])
         for n in [0, 5, 17, spect.values.shape[0] - 1]:
@@ -88,22 +79,22 @@ class TestAnalyze:
         x = rng.standard_normal(3000)
         y = rng.standard_normal(3000)
         a, b = 0.7, -1.3
-        combined = analyze(a * x + b * y, CFG).values
-        separate = a * analyze(x, CFG).values + b * analyze(y, CFG).values
+        combined = analyze(a * x + b * y).values
+        separate = a * analyze(x).values + b * analyze(y).values
         scale = np.max(np.abs(separate))
         assert np.max(np.abs(combined - separate)) < 1e-12 * scale
 
     def test_phase_in_principal_range(self):
         rng = np.random.default_rng(5)
-        spect = analyze(rng.standard_normal(2000), CFG)
+        spect = analyze(rng.standard_normal(2000))
         assert np.all(spect.phase > -np.pi - 1e-12)
         assert np.all(spect.phase <= np.pi + 1e-12)
 
     def test_too_short_signal(self):
         with pytest.raises(ValueError):
-            analyze(np.ones(100), CFG)
+            analyze(np.ones(100))
         with pytest.raises(ValueError):
-            analyze(np.array([]), CFG)
+            analyze(np.array([]))
 
 
 class TestSynthesize:
@@ -111,39 +102,39 @@ class TestSynthesize:
         rng = np.random.default_rng(11)
         for _ in range(3):
             x = rng.standard_normal(5000)
-            spect = analyze(x, CFG)
-            y = synthesize(spect.amplitude, spect.phase, CFG, x.size)
+            spect = analyze(x)
+            y = synthesize(spect.amplitude, spect.phase, x.size)
             assert y.shape == x.shape
             assert np.max(np.abs(y - x)) < 1e-10
 
     def test_zero_amplitudes(self):
-        spect = analyze(np.ones(3000), CFG)
-        y = synthesize(np.zeros_like(spect.amplitude), spect.phase, CFG, 3000)
+        spect = analyze(np.ones(3000))
+        y = synthesize(np.zeros_like(spect.amplitude), spect.phase, 3000)
         assert np.all(y == 0)
 
     def test_halved_amplitudes_scale_output(self):
         rng = np.random.default_rng(12)
         x = rng.standard_normal(4000)
-        spect = analyze(x, CFG)
-        y = synthesize(spect.amplitude / 2, spect.phase, CFG, x.size)
+        spect = analyze(x)
+        y = synthesize(spect.amplitude / 2, spect.phase, x.size)
         assert np.max(np.abs(y - x / 2)) < 1e-10
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            synthesize(np.zeros((4, 257)), np.zeros((5, 257)), CFG, 100)
+            synthesize(np.zeros((4, 257)), np.zeros((5, 257)), 100)
         with pytest.raises(ValueError):
-            synthesize(np.zeros((4, 100)), np.zeros((4, 100)), CFG, 100)
+            synthesize(np.zeros((4, 100)), np.zeros((4, 100)), 100)
 
     def test_n_samples_beyond_extent_rejected(self):
-        spect = analyze(np.ones(3000), CFG)
+        spect = analyze(np.ones(3000))
         with pytest.raises(ValueError, match="n_samples"):
-            synthesize(spect.amplitude, spect.phase, CFG, 3000 + 2 * CFG.frame_len)
+            synthesize(spect.amplitude, spect.phase, 3000 + 2 * FRAME_LEN)
 
     def test_negative_amplitude_rejected(self):
         grid = np.zeros((10, 257))
         grid[3, 5] = -1.0
         with pytest.raises(ValueError):
-            synthesize(grid, np.zeros_like(grid), CFG, 100)
+            synthesize(grid, np.zeros_like(grid), 100)
 
 
 class TestWavIo:
@@ -184,6 +175,6 @@ class TestWavIo:
 
 
 def test_spectrogram_accessors():
-    spect = analyze(np.ones(1000), CFG)
+    spect = analyze(np.ones(1000))
     assert isinstance(spect, ComplexSpectrogram)
     assert spect.amplitude.shape == spect.phase.shape == spect.values.shape
