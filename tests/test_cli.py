@@ -76,6 +76,37 @@ class TestEnhanceCommand:
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "in.enhanced.wav").exists()
 
+    def test_mdkm_noise_order_conflict(self, wavs, tmp_path, capsys):
+        rc = main(["enhance", "--mode", "mdkm", "--q", "4",
+                   str(wavs / "in.wav"), "-o", str(tmp_path)])
+        assert rc == 2
+        assert "--q" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("q", ["9", "8", "-1"])
+    def test_mdkr_noise_order_beyond_window(self, wavs, tmp_path, capsys, q):
+        rc = main(["enhance", "--mode", "mdkr", "--q", q,
+                   str(wavs / "in.wav"), "-o", str(tmp_path)])
+        assert rc == 2
+        assert "--q" in capsys.readouterr().err
+        assert not (tmp_path / "in.enhanced.wav").exists()
+
+    @pytest.mark.parametrize("flag, value, extra", [
+        ("--frame-ms", "0", []), ("--frame-ms", "nan", []), ("--frame-ms", "-32", []),
+        ("--frame-ms", "inf", []), ("--frame-ms", "0.01", []),
+        ("--inc-ms", "0", []), ("--inc-ms", "-8", []), ("--inc-ms", "nan", []),
+        ("--inc-ms", "64", []),
+        ("--mod-frame-ms", "inf", []), ("--mod-frame-ms", "0", []),
+        ("--mod-frame-ms", "nan", []), ("--mod-frame-ms", "1e308", ["--inc-ms", "0.05"]),
+    ])
+    def test_bad_framing_flag_is_usage_error(self, wavs, tmp_path, capsys, flag, value,
+                                             extra):
+        # no framing value, good or bad, gets past the parser
+        rc = main(["enhance", "--mode", "mdkm", flag, value, *extra,
+                   str(wavs / "in.wav"), "-o", str(tmp_path)])
+        assert rc == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "in.enhanced.wav").exists()
+
     def test_seed_flag_belongs_to_bench(self, wavs, tmp_path, capsys):
         rc = main(["enhance", "--seed", "3", str(wavs / "in.wav"), "-o", str(tmp_path)])
         assert rc == 2

@@ -89,6 +89,21 @@ class TestConfig:
     def test_mdkm_has_no_noise_rows(self, monkeypatch):
         assert state_layouts(monkeypatch, Mode.MDKM) == {(3, 0)}
 
+    # the orders are constants, so a config that asks for others is refused
+    def test_mdkm_rejects_noise_rows(self):
+        with pytest.raises(TypeError, match="noise_order"):
+            EnhancerConfig(mode=Mode.MDKM, noise_order=4)
+
+    def test_mdkr_rejects_zero_noise_rows(self):
+        with pytest.raises(TypeError, match="noise_order"):
+            EnhancerConfig(mode=Mode.MDKR, noise_order=0)
+
+    def test_bad_orders(self):
+        with pytest.raises(TypeError, match="speech_order"):
+            EnhancerConfig(speech_order=0)
+        with pytest.raises(TypeError, match="speech_order"):
+            EnhancerConfig(speech_order=8, mod_frames=8)
+
 
 class TestInputContract:
     def test_empty_rejected(self):

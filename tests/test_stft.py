@@ -36,6 +36,18 @@ class TestFrameConfig:
         for n in range(1, 2049):
             assert np.array_equal(periodic_hamming(n), get_window("hamming", n, fftbins=True))
 
+    def test_from_ms(self):
+        # the paper's 32 ms frames every 8 ms, in samples at the package rate
+        assert FRAME_LEN == round(32e-3 * SAMPLE_RATE)
+        assert FRAME_INC == round(8e-3 * SAMPLE_RATE)
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="shorter than one frame"):
+            analyze(np.ones(FRAME_LEN - 1))
+        amps = np.ones((4, FRAME_LEN // 2))
+        with pytest.raises(ValueError, match="the framing gives"):
+            synthesize(amps, np.zeros_like(amps), n_samples=FRAME_LEN)
+
     def test_window_overlap_is_constant(self):
         # the squared periodic Hamming window sums to a constant at 75% overlap
         win2 = periodic_hamming(FRAME_LEN) ** 2
