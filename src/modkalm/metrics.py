@@ -5,6 +5,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .stft import FRAME_INC, FRAME_LEN
+
 SEG_SNR_MIN = -10.0
 SEG_SNR_MAX = 35.0
 SILENCE_REL = 1e-6
@@ -19,19 +21,19 @@ class SegSnrReport:
     frames_used: int
 
 
-def seg_snr(clean, test, frame_len: int = 512, frame_inc: int = 128) -> SegSnrReport:
+def seg_snr(clean, test) -> SegSnrReport:
     """Frame-wise 10*log10(signal power / error power), clamped to
     [SEG_SNR_MIN, SEG_SNR_MAX] and averaged over frames whose reference
-    energy clears a relative silence threshold.
+    energy clears a relative silence threshold.  The frames are the
+    enhancer's STFT frames, :data:`.stft.FRAME_LEN` samples every
+    :data:`.stft.FRAME_INC`.
 
     ``test`` is trimmed or zero-padded (with a warning) if its length
     differs from the reference.
     """
     clean = np.asarray(clean, dtype=float).ravel()
     test = np.asarray(test, dtype=float).ravel()
-    if frame_len <= 0 or not 0 < frame_inc <= frame_len:
-        raise ValueError("bad framing parameters")
-    if clean.size < frame_len:
+    if clean.size < FRAME_LEN:
         raise ValueError("reference shorter than one frame")
     if test.size != clean.size:
         warnings.warn(
@@ -43,8 +45,8 @@ def seg_snr(clean, test, frame_len: int = 512, frame_inc: int = 128) -> SegSnrRe
         else:
             test = np.concatenate([test, np.zeros(clean.size - test.size)])
 
-    cf = sliding_window_view(clean, frame_len)[::frame_inc]
-    ef = sliding_window_view(clean - test, frame_len)[::frame_inc]
+    cf = sliding_window_view(clean, FRAME_LEN)[::FRAME_INC]
+    ef = sliding_window_view(clean - test, FRAME_LEN)[::FRAME_INC]
     energy = (cf ** 2).sum(axis=1)
     err = (ef ** 2).sum(axis=1)
 

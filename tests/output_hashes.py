@@ -24,6 +24,13 @@ takes the series alone)::
 
     hisnr/mode/0 <sha256 of the float64 enhance output> <counters dict>
 
+and, for each mode, seed 0 at ``LOWSNR_DB`` white noise, the other SNR of
+the ``ring-white`` benchmark workload.  There 31.1% of ``mdkr``'s ring
+cells are a product of two single Gaussians (30.6% at 0 dB), the cells
+that skip the mixture weights::
+
+    lowsnr/mode/0 <sha256 of the float64 enhance output> <counters dict>
+
 Two checkouts whose outputs and counters are identical print identical
 lines, so a change that must keep the output bit-identical is checked by
 running this before and after it::
@@ -32,7 +39,7 @@ running this before and after it::
 
 The package is imported from the ``src`` directory next to this file.  The
 file name does not match ``test_*.py``, so pytest does not collect it.  A
-run takes about a minute on a 2-core x86-64 host, most of it in ``mdkr``.
+run takes about a minute and a half on a 2-core x86-64 host, most of it in ``mdkr``.
 """
 import contextlib
 import hashlib
@@ -55,6 +62,7 @@ MODES = ("logmmse", "mdkm", "mdkr")
 SEEDS = range(5)
 SILENT_SECONDS = 0.3
 HISNR_DB = 20.0
+LOWSNR_DB = -5.0
 
 
 def _print_run(tag: str, noisy: np.ndarray, mode: str) -> None:
@@ -86,6 +94,8 @@ def main() -> int:
         _print_run(f"silent/{mode}/0", silent, mode)
     for mode in MODES:
         _print_run(f"hisnr/{mode}/0", add_white(bench_signal(0), 0, HISNR_DB), mode)
+    for mode in MODES:
+        _print_run(f"lowsnr/{mode}/0", add_white(bench_signal(0), 0, LOWSNR_DB), mode)
     return 0
 
 

@@ -22,10 +22,15 @@ one cell at a time), so agreement between the two is evidence for both:
 - :func:`log_kummer_series` sums the ascending series for log M(a;1;x)
   element by element, each element stopping on its own; the package sums
   the batch in lock-step (``specfun._log_kummer_series``).
+- :func:`mdkr_cell`, with its :func:`_product_arrays` and
+  :func:`amplitude_moments`, is the ring cell in its plain form: every product component weighted, each reduction a dot
+  product, fresh arrays throughout.  ``gaussring.mdkr_cell`` must return
+  the same bytes.
 """
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +38,16 @@ from scipy.optimize import brentq
 from scipy.signal import get_window
 
 from modkalm.gamma_update import GAMMA_MAX, GAMMA_MIN, _log_shape_ratio
+from modkalm.gaussring import (
+    _CROSS_TAN2,
+    _CROSS_W,
+    _WEIGHT_PRUNE,
+    DEFAULT_RING_CAP,
+    GaussringModel,
+    build_ring,
+    rice_mean,
+)
+from modkalm.kalman import psd_project, tally
 from modkalm.lpc import _DIAG_LOAD
 
 
@@ -312,3 +327,120 @@ def log_kummer_series(a: np.ndarray, x: np.ndarray) -> np.ndarray:
         if k > 200000:
             raise RuntimeError("kummer series failed to converge")
     return np.log(total) + shift
+
+
+# --- the ring cell as it stood before its single-component path -----------
+# Verbatim copies of ``gaussring._product_arrays``, ``amplitude_moments``
+# and ``mdkr_cell`` from before the package cut their fixed per-call cost;
+# ``test_gaussring.TestReferenceCell`` holds the package to the same bytes,
+# counters and component counts.
+
+def _product_arrays(speech: GaussringModel, noise: GaussringModel):
+    """Pairwise Gaussian products: normalized weights, means, shared variance."""
+    dsum = speech.var + noise.var
+    dprod = speech.var * noise.var / dsum
+    diff = speech.means[:, None] - noise.means[None, :]
+    with np.errstate(over="ignore"):  # huge separations legitimately give -inf
+        logw = -np.abs(diff) ** 2 / dsum - np.log(np.pi * dsum) - np.log(speech.G * noise.G)
+    logw = logw.ravel()
+    top = logw.max()
+    if not math.isfinite(top):
+        warnings.warn("all product weights underflowed; using uniform weights")
+        w = np.full(logw.size, 1.0 / logw.size)
+    else:
+        w = np.exp(logw - top)
+        w /= w.sum()
+    means = (dprod * (speech.means[:, None] / speech.var + noise.means[None, :] / noise.var)).ravel()
+    return w, means, dprod
+
+
+def amplitude_moments(o, delta: float, z: complex):
+    """Exact moments of (|S|, |S − z|) for S ~ CN(o, delta), per entry of
+    the 1-D array ``o``.
+
+    Both amplitudes are Rician, so their means come from :func:`rice_mean`
+    and their second moments are δ + |o|² and δ + |o − z|².  The covariance
+    uses |w| = (1/2√π)∫₀^∞ (1 − e^{−u|w|²}) u^{−3/2} du: tilting CN(o, δ) by
+    e^{−u|S−z|²} gives C(u)·CN(o_u, δ_u) with δ_u = δ/(1+uδ),
+    o_u = (o + uδz)/(1+uδ), C(u) = e^{−u|o−z|²/(1+uδ)}/(1+uδ), so
+
+        Cov = (1/2√π) ∫₀^∞ u^{−3/2} C(u)·[E|S| − rice_mean(|o_u|², δ_u)] du.
+
+    With u = (c·tanθ)², c = (δ + |o−z|²)^{−½}, the integrand is smooth on
+    [0, π/2] and a fixed Gauss–Legendre rule evaluates it.  The two means
+    and the 14 tilted means per entry go through one :func:`rice_mean`
+    call on the concatenated arguments; its operations are elementwise, so
+    each value has the bits that separate calls would give.  Returns
+    arrays ``(mean_a, mean_b, var_a, var_b, cov_ab)``, each contiguous:
+    ``@`` on strided views can sum in another order.
+    """
+    o = np.asarray(o, dtype=complex)
+    n = o.size
+    a2 = np.abs(o) ** 2
+    b2 = np.abs(o - z) ** 2
+    inv_c2 = delta + b2
+    u = _CROSS_TAN2 / inv_c2[:, None]
+    u_delta = u * delta
+    ud = 1.0 + u_delta
+    tilt = np.exp(-u * b2[:, None] / ud) / ud
+    o_u = (o[:, None] + u_delta * z) / ud
+    means = rice_mean(np.concatenate((a2, b2, (np.abs(o_u) ** 2).ravel())),
+                      np.concatenate((np.full(2 * n, delta), (delta / ud).ravel())))
+    mean_a, mean_b = means[:n], means[n:2 * n]
+    gap = mean_a[:, None] - means[2 * n:].reshape(n, -1)
+    cov_ab = np.sqrt(inv_c2) * ((tilt * gap) @ _CROSS_W)
+    return (mean_a, mean_b, delta + a2 - mean_a ** 2, delta + b2 - mean_b ** 2,
+            cov_ab)
+
+
+def mdkr_cell(
+    mu_speech: float,
+    var_speech: float,
+    mu_noise: float,
+    var_noise: float,
+    z: complex,
+    cap: int = DEFAULT_RING_CAP,
+    counters: dict | None = None,
+    info: dict | None = None,
+):
+    """Joint posterior amplitude moments for one time-frequency cell.
+
+    Builds the speech ring at the origin and the noise ring at z from the
+    two marginal priors, forms the pairwise product mixture, and
+    accumulates the mixture mean and covariance of (|S|, |S−z|).  The
+    per-component moments are exact (:func:`amplitude_moments`: closed-form
+    Rician means and second moments, and a cross moment within 1e-6
+    relative).  Returns plain ``(mu (2,), Sigma (2,2))`` arrays; ``info``
+    (if given) receives the two component counts.
+
+    The enhancer passes Python floats and a Python complex, so the scalar
+    work per cell skips numpy-scalar dispatch; numpy scalars give the
+    same bits, as every operation rounds the same either way.
+    """
+    speech = build_ring(mu_speech, var_speech, center=0j, cap=cap,
+                        counters=counters)
+    noise = build_ring(mu_noise, var_noise, center=complex(z), cap=cap,
+                       counters=counters)
+    if info is not None:
+        info["G_speech"] = speech.G
+        info["G_noise"] = noise.G
+    w, means, dprod = _product_arrays(speech, noise)
+
+    keep = w > _WEIGHT_PRUNE * w.max()
+    if not keep.all():
+        tally(counters, "components_pruned", np.count_nonzero(~keep))
+        w, means = w[keep], means[keep]
+        w = w / w.sum()
+
+    mean_a, mean_b, var_a, var_b, cov_ab = amplitude_moments(means, dprod, z)
+    ma, mb = float(w @ mean_a), float(w @ mean_b)
+    da = mean_a - ma
+    db = mean_b - mb
+    s12 = float(w @ (cov_ab + da * db))
+    s11, s22 = float(w @ (var_a + da * da)), float(w @ (var_b + db * db))
+    Sigma = np.array([[s11, s12], [s12, s22]])
+    # mixture covariances are PSD up to rounding; only project when rounding
+    # actually pushed an eigenvalue negative
+    if s11 < 0.0 or s22 < 0.0 or s11 * s22 < s12 * s12:
+        Sigma = psd_project(Sigma)
+    return np.array([ma, mb]), Sigma

@@ -1,4 +1,6 @@
 """End-to-end tests for the modulation-domain Kalman enhancer."""
+import warnings
+
 import numpy as np
 import pytest
 from scipy.ndimage import uniform_filter1d
@@ -11,6 +13,7 @@ from modkalm.kalman import MomentPair
 from modkalm.logmmse import logmmse_enhance, track_noise
 from modkalm.metrics import seg_snr
 from modkalm.stft import analyze, synthesize
+import reference
 
 RATE = 16000
 
@@ -241,6 +244,36 @@ class TestRingCellCall:
             assert kwargs["cap"] == DEFAULT_RING_CAP
             assert kwargs["counters"] is diag.counters
             assert isinstance(kwargs["info"], dict)
+
+    @pytest.mark.parametrize("snr_db", [-5.0, 0.0])
+    def test_cells_match_the_reference_cell(self, monkeypatch, snr_db):
+        # every ring cell of a real run gives the bytes, counters and
+        # component counts of the plain per-cell evaluation in reference.py
+        real = enh.mdkr_cell
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs["cap"]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(enh, "mdkr_cell", spy)
+        diagnose(add_white(voiced_babble(6, dur=0.3), 6, snr_db), RATE,
+                 EnhancerConfig(mode=Mode.MDKR))
+        single = []
+        for args, cap in calls:
+            runs = []
+            for cell in (real, reference.mdkr_cell):
+                counters, info = {}, {}
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    mu, sigma = cell(*args, cap=cap, counters=counters, info=info)
+                runs.append((mu.tobytes(), sigma.tobytes(), counters, info))
+            assert runs[0] == runs[1], args
+            _, _, counters, info = runs[0]
+            single.append(info["G_speech"] * info["G_noise"]
+                          - counters.get("components_pruned", 0) == 1)
+        # the run reaches both sides of the single-component branch
+        assert 0 < sum(single) < len(single)
 
 
 class TestFaultIsolation:

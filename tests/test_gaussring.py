@@ -1,4 +1,6 @@
 """Tests for the ring-mixture amplitude posterior."""
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -14,6 +16,7 @@ from modkalm.gaussring import (
     mdkr_cell,
     rice_mean,
 )
+import reference
 from reference import (
     NakagamiParams,
     nakagami_from_moments,
@@ -199,7 +202,7 @@ class TestProductComponents:
     def test_coincident_single_gaussians(self):
         a = GaussringModel(1, np.array([1 + 1j]), 1.0, 0j, True)
         b = GaussringModel(1, np.array([1 + 1j]), 1.0, 1 + 1j, True)
-        w, o, d = _product_arrays(a, b)
+        w, o, d, _ = _product_arrays(a, b)
         assert len(w) == 1
         assert w[0] == pytest.approx(1.0)
         assert o[0] == pytest.approx(1 + 1j)
@@ -208,7 +211,7 @@ class TestProductComponents:
     def test_uninformative_noise_leaves_speech_ring(self):
         speech = build_ring(5.0, 1.0)
         noise = GaussringModel(1, np.array([0.7 + 0.2j]), 1e12, 0.7 + 0.2j, True)
-        ws, os_, _ = _product_arrays(speech, noise)
+        ws, os_, _, _ = _product_arrays(speech, noise)
         assert ws == pytest.approx(np.full(speech.G, 1 / speech.G), rel=1e-6)
         assert np.abs(os_ - speech.means).max() < 1e-6
 
@@ -216,7 +219,7 @@ class TestProductComponents:
         rng = np.random.default_rng(7)
         speech = build_ring(2.9, 1.0)  # 10 components
         noise = build_ring(2.0, 1.0, center=rng.uniform(-2, 2) + 1j * rng.uniform(-2, 2))
-        ws, _, _ = _product_arrays(speech, noise)
+        ws, _, _, heaviest = _product_arrays(speech, noise)
         # independent linear-space evaluation of the pairwise weights
         dsum = speech.var + noise.var
         raw = np.empty(len(ws))
@@ -228,12 +231,13 @@ class TestProductComponents:
         raw /= raw.sum()
         assert np.abs(ws - raw).max() < 1e-10
         assert ws.sum() == pytest.approx(1.0, abs=1e-12)
+        assert heaviest == ws.max()
 
     def test_total_underflow_warns_and_uniformizes(self):
         a = GaussringModel(1, np.array([0j]), 1.0, 0j, True)
         b = GaussringModel(1, np.array([1e200 + 0j]), 1.0, 1e200 + 0j, True)
         with pytest.warns(UserWarning):
-            ws, _, _ = _product_arrays(a, b)
+            ws, _, _, _ = _product_arrays(a, b)
         assert ws[0] == pytest.approx(1.0)
 
 
@@ -441,3 +445,35 @@ class TestScalarBoundary:
         if "pruned" in expect:
             assert counters.get("components_pruned", 0) > 0
         assert counters.get("ring_capped", 0) == expect.get("capped", 0)
+
+
+class TestReferenceCell:
+    """Hand-picked cells on which the package must give the bytes, counters
+    and component counts of the plain per-cell evaluation in reference.py
+    (every ring cell of a real run is compared in test_enhancer.py)."""
+
+    @staticmethod
+    def _run(cell, args, cap):
+        counters, info = {}, {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            mu, sigma = cell(*args, cap=cap, counters=counters, info=info)
+        return mu.tobytes(), sigma.tobytes(), counters, info
+
+    @pytest.mark.parametrize("args, cap, kept", [
+        # both ratios below the gate: a 1×1 product
+        ((0.3, 1.0, 0.4, 2.0, 0.8 + 0.33j), DEFAULT_RING_CAP, 1),
+        # a narrow noise ring far from the origin: pruning leaves one of 13
+        ((0.1, 0.01, 2.0, 0.25, -50.0 + 0j), DEFAULT_RING_CAP, 1),
+        # πμ/σ = 94 and 79: both rings capped at 16
+        ((30.0, 1.0, 25.0, 1.0, 3.0 - 4.0j), 16, 240),
+        # the separation of test_total_underflow_warns_and_uniformizes: every
+        # weight underflows, and the moments overflow to NaN on both sides
+        ((0.0, 1.0, 0.0, 1.0, 1e200 + 0j), DEFAULT_RING_CAP, 1),
+    ])
+    def test_matches_reference(self, args, cap, kept):
+        got = self._run(mdkr_cell, args, cap)
+        assert got == self._run(reference.mdkr_cell, args, cap)
+        _, _, counters, info = got
+        assert info["G_speech"] * info["G_noise"] - counters.get("components_pruned", 0) == kept
+

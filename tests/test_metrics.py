@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from modkalm.metrics import SEG_SNR_MAX, SEG_SNR_MIN, SegSnrReport, seg_snr
+from modkalm.stft import FRAME_INC, FRAME_LEN
 
 
 @pytest.fixture
@@ -21,12 +22,14 @@ class TestSegSnr:
         rng = np.random.default_rng(1)
         clean = rng.standard_normal(8192)
         noise = rng.standard_normal(8192)
-        # disjoint frames so the per-frame power match is exact
-        L = 512
-        for s in range(0, 8192, L):
-            blk = slice(s, s + L)
+        # every frame is whole hops, so matching the power hop by hop
+        # matches it exactly in each frame
+        assert FRAME_LEN % FRAME_INC == 0
+        for s in range(0, 8192, FRAME_INC):
+            blk = slice(s, s + FRAME_INC)
             noise[blk] *= np.sqrt((clean[blk] ** 2).sum() / (noise[blk] ** 2).sum())
-        rep = seg_snr(clean, clean + noise, frame_len=L, frame_inc=L)
+        rep = seg_snr(clean, clean + noise)
+        assert rep.frames_used == (8192 - FRAME_LEN) // FRAME_INC + 1
         assert np.abs(rep.per_frame).max() < 0.01
 
     def test_zeroed_output_reads_zero_db(self, voice_like):
@@ -52,7 +55,7 @@ class TestSegSnr:
         clean = np.concatenate([rng.standard_normal(8000), np.zeros(8000)])
         test = clean + rng.standard_normal(16000) * 0.1
         rep = seg_snr(clean, test)
-        all_frames = (16000 - 512) // 128 + 1
+        all_frames = (16000 - FRAME_LEN) // FRAME_INC + 1
         assert rep.frames_used < all_frames
         assert rep.per_frame.size == rep.frames_used
 
@@ -80,9 +83,10 @@ class TestSegSnr:
         assert rep.mean == pytest.approx(rep.per_frame.mean())
 
     def test_bad_framing_rejected(self, voice_like):
-        with pytest.raises(ValueError):
-            seg_snr(voice_like, voice_like, frame_len=0)
-        with pytest.raises(ValueError):
-            seg_snr(voice_like, voice_like, frame_len=512, frame_inc=600)
-        with pytest.raises(ValueError):
-            seg_snr(voice_like[:100], voice_like[:100])
+        # the framing is the STFT's; a reference shorter than one frame has
+        # no frame to measure
+        with pytest.raises(ValueError, match="shorter than one frame"):
+            seg_snr(voice_like[:FRAME_LEN - 1], voice_like[:FRAME_LEN - 1])
+        assert seg_snr(voice_like[:FRAME_LEN], voice_like[:FRAME_LEN]).frames_used == 1
+        with pytest.raises(TypeError, match="frame_len"):
+            seg_snr(voice_like, voice_like, frame_len=FRAME_LEN)
