@@ -242,9 +242,9 @@ def mdkr_cell(
     same bits, as every operation rounds the same either way.
 
     Most of a cell's cost is fixed per call, so a product of two single
-    Gaussians, or one that pruning leaves with one component, skips the
-    mixture weights: its weight is exactly 1, and the weighted sums are
-    done on Python floats with the arithmetic of a dot product with [1.0].
+    Gaussians skips the mixture weights: its weight is exactly 1, and the
+    weighted sums are done on Python floats with the arithmetic of a dot
+    product with [1.0].
     The weighted sums of larger mixtures use ``ndarray.dot``, the same BLAS
     dot product as ``@`` at less cost per call.
     """
@@ -266,11 +266,8 @@ def mdkr_cell(
         if kept < w.size:
             tally(counters, "components_pruned", w.size - kept)
             means = means[keep]
-            if kept == 1:
-                w = None  # the survivor's weight w/w is exactly 1
-            else:
-                w = w[keep]
-                w /= np.add.reduce(w)
+            w = w[keep]
+            w /= np.add.reduce(w)
 
     mean_a, mean_b, var_a, var_b, cov_ab = amplitude_moments(means, dprod, z)
     if w is None:

@@ -4,9 +4,7 @@ Runs ``perfbench/run.py --trace 0`` once per workload and seed, each in a
 fresh process, for every workload and the run length that ``BENCHMARK.json``
 declares, and writes the git hash, the machine, the Python, numpy and
 scipy versions, every run's metrics, and the median and quartiles of each
-metric per workload.  Each tree also makes one ``--trace 1`` run per
-workload, on the first seed, whose per-layer figures (``gaussring.*``,
-``enhancer.self_s``, ...) go in the record under ``traced``::
+metric per workload::
 
     python3 tests/bench_record.py --number 8 --seeds 1-10
     python3 tests/bench_record.py --number 8 --seeds 1-10 --baseline ../parent
@@ -53,10 +51,9 @@ def git_hash(tree: Path) -> str:
     return git("rev-parse", "HEAD") + ("-dirty" if dirty else "")
 
 
-def one_run(tree: Path, workload: str, seed: int, seconds: float,
-            trace: int = 0) -> dict:
+def one_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode:
         sys.exit(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
@@ -138,13 +135,6 @@ def main(argv=None) -> int:
                 entry[label] = {"runs": runs[label], "summary": summary(runs[label])}
             if "baseline" in trees:
                 entry["pairs"] = pair_counts(runs["change"], runs["baseline"], lower_better)
-            out_path.write_text(json.dumps(record, indent=1) + "\n")
-        for label in trees:
-            run = one_run(trees[label], workload, args.seeds[0], seconds, trace=1)
-            entry[label]["traced"] = run
-            print(f"{workload} seed {args.seeds[0]} {label} traced: "
-                  + ", ".join(f"{k}={v:.4g}" for k, v in run["metrics"].items()),
-                  file=sys.stderr, flush=True)
             out_path.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out_path}", file=sys.stderr)
     return 0
