@@ -93,7 +93,8 @@ def mdkm_posterior(prior: GammaPrior, nu2, y, counters: dict | None = None):
     the a-posteriori and ξ = γβ²/ν² the a-priori SNR.  Evaluated in log
     space so large x cannot overflow.  The variance is the second moment
     minus the squared mean, floored at 1e-12·y² (floor hits are counted).
-    A zero observation reports a zero mean with all mass in the variance.
+    A zero observation gives the y → 0⁺ limit: ζ = 0 and M(·;1;0) = 1, so
+    the mean is Γ(γ+½)/Γ(γ)·β′ and the second moment γβ′².
     A non-positive ν², a negative y, or SNRs that are negative or
     non-finite raise ``ValueError``.
     """
@@ -133,7 +134,6 @@ def mdkm_posterior(prior: GammaPrior, nu2, y, counters: dict | None = None):
     mean = half * np.sqrt(scale2) * ratio_half
     second = gamma * scale2 * ratio_one
 
-    mean = np.where(y > 0, mean, 0.0)
     var = second - mean * mean
     floor = VAR_FLOOR_REL * y * y
     tally(counters, "posterior_var_floored", np.count_nonzero(var < floor))

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import i0e
+from scipy.special import gammaln, i0e
 
 from modkalm.gamma_update import (
     GAMMA_MAX,
@@ -151,12 +151,34 @@ class TestMdkmPosterior:
             mdkm_posterior(GammaPrior(1.0, np.inf), 1.0, 1.0)
 
     def test_zero_observation(self):
+        # y = 0 is the y → 0⁺ limit, a posterior ∝ prior(a)·e^(−a²/ν²) with
+        # scale β'² = ν²ξ/(γ+ξ): mean Γ(γ+½)/Γ(γ)·β', second moment γβ'²
         prior = fit_gamma_prior(1.0, 0.5)
         mean, var = mdkm_posterior(prior, 1.0, 0.0)
-        assert mean == 0.0
-        # all posterior mass shows as variance: γβ'² with β'²=ν²ξ/(γ+ξ)
         xi = prior.gamma * prior.beta ** 2
-        assert var == pytest.approx(prior.gamma * xi / (prior.gamma + xi), rel=1e-12)
+        scale2 = xi / (prior.gamma + xi)
+        expect = np.exp(gammaln(prior.gamma + 0.5) - gammaln(prior.gamma)) * np.sqrt(scale2)
+        assert mean == pytest.approx(expect, rel=1e-12)
+        assert var == pytest.approx(prior.gamma * scale2 - expect ** 2, rel=1e-12)
+        # no jump at y = 0: a tiny observation gives the same moments
+        near_mean, near_var = mdkm_posterior(prior, 1.0, 1e-9)
+        assert mean == pytest.approx(near_mean, rel=1e-9)
+        assert var == pytest.approx(near_var, rel=1e-9)
+
+    def test_zero_observation_at_the_clamp_matches_quadrature(self):
+        # a cell of a real mdkm run at the γ clamp, where the package once
+        # gave mean 0 at y = 0 against 0.0017485 at y = 1e-9; QUADPACK's
+        # algebraic weight a^(2γ−1) carries the near-1/a singularity at 0 of
+        # the limit density a^(2γ−1)·e^(−a²/β²)·e^(−a²/ν²)
+        gamma, beta, nu2 = 0.001, 1.685, 1.487
+        mean, var = mdkm_posterior(GammaPrior(gamma, beta), nu2, 0.0)
+        c = 1 / beta ** 2 + 1 / nu2
+        m0, m1, m2 = (quad(lambda a, k=k: a ** k * np.exp(-c * a * a), 0, 40,
+                           weight="alg", wvar=(2 * gamma - 1, 0),
+                           epsabs=0, epsrel=1e-13, limit=200)[0] for k in range(3))
+        assert mean == pytest.approx(m1 / m0, rel=1e-10)
+        assert var == pytest.approx(m2 / m0 - (m1 / m0) ** 2, rel=1e-10)
+        assert mean == pytest.approx(0.0017485, rel=1e-4)
 
     def test_rayleigh_prior_against_quadrature(self):
         for xi in (0.1, 1.0, 10.0):
