@@ -295,11 +295,13 @@ def rician_from_nakagami(p: NakagamiParams) -> RicianParams:
     return RicianParams(alpha=float(np.sqrt(alpha2)), delta2=0.5 * (p.Omega - alpha2))
 
 
-def log_kummer_series(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+def log_kummer_series(a: np.ndarray, x: np.ndarray, rescales: list | None = None) -> np.ndarray:
     """log M(a;1;x) by the ascending series with on-the-fly rescaling.
 
     All terms are nonnegative for a >= 0, x >= 0, so the sum has no
-    cancellation; partial sums are rescaled before they can overflow.
+    cancellation; partial sums are rescaled before they can overflow.  The
+    overflow test runs after every pass; each rescale appends its (pass,
+    element index) to ``rescales``, passes counted from 1.
     """
     n = a.size
     total = np.ones(n)
@@ -317,6 +319,8 @@ def log_kummer_series(a: np.ndarray, x: np.ndarray) -> np.ndarray:
             t = np.where(big, t * 1e-250, t)
             s = np.where(big, s * 1e-250, s)
             shift[active[big]] += 250.0 * math.log(10.0)
+            if rescales is not None:
+                rescales.extend((k + 1, int(i)) for i in active[big])
         term[active] = t
         total[active] = s
         k += 1

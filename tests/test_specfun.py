@@ -6,13 +6,16 @@ sum_k (a)_k x^k / ((b)_k k!) evaluated with mpmath at 40 decimal digits
 (positive terms only, so the sum has no cancellation at any x).  The same
 oracle is re-run live for the randomized grids.
 """
+import inspect
 import math
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 from scipy import special as sp
 
+import modkalm.specfun
 from modkalm.specfun import _STOP_EVERY, _series_switch, gamma_half_ratio, kummer_m_log
 from reference import log_kummer_series
 
@@ -197,6 +200,68 @@ class TestKummerM:
         vec = kummer_m_log(a, x)
         for i in range(a.size):
             assert np.array_equal(vec[i], kummer_m_log(a[i], x[i]))
+
+    @staticmethod
+    def package_rescales(a, x):
+        """``kummer_m_log(a, x)`` and the (pass, element) of every rescale
+        in ``_log_kummer_series``, seen by a line trace of its rescale
+        statement: the pass is the loop's k + 1, the elements its ``big``."""
+        code = modkalm.specfun._log_kummer_series.__code__
+        lines, first = inspect.getsourcelines(code)
+        (line,) = [first + i for i, text in enumerate(lines) if "shift[big] +=" in text]
+        seen = []
+
+        def local(frame, event, arg):
+            if event == "line" and frame.f_lineno == line:
+                k, big = frame.f_locals["k"], frame.f_locals["big"]
+                seen.extend((k + 1, int(i)) for i in np.flatnonzero(big))
+            return local
+
+        def hook(frame, event, arg):
+            return local if frame.f_code is code else None
+
+        previous = sys.gettrace()
+        sys.settrace(hook)
+        try:
+            out = kummer_m_log(a, x)
+        finally:
+            sys.settrace(previous)
+        return out, sorted(seen)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rescales_fall_on_the_passes_of_a_test_after_every_pass(self, seed):
+        # the overflow test is gated by the batch's largest x, so in a batch
+        # where large-x elements sit beside small ones each rescale must
+        # still fall on the pass where a test after every pass makes it
+        rng = np.random.default_rng(seed)
+        n_small = 30
+        a_big = rng.uniform(15.0, 49.0, 3)
+        x_big = rng.uniform(0.5, 1.0, 3) * _series_switch(a_big)
+        a = np.concatenate([a_big, np.exp(rng.uniform(np.log(1e-3), np.log(49.0), n_small))])
+        x = np.concatenate([x_big, rng.uniform(0.0, 2.0, n_small)])
+        order = rng.permutation(a.size)
+        a, x = a[order], x[order]
+        want = []
+        ref = log_kummer_series(a, x, want)
+        got, seen = self.package_rescales(a, x)
+        assert seen == sorted(want)
+        assert np.array_equal(got, ref)
+        rescaled = {i for _, i in want}
+        assert rescaled and rescaled <= set(np.flatnonzero(order < 3))
+        assert len(want) > len(rescaled)  # some element rescales more than once
+
+    @pytest.mark.parametrize("x, after_stop", [(3097.975493873468, 4), (3000.0, 1)])
+    def test_rescale_at_the_gate_boundary_falls_on_its_pass(self, x, after_stop):
+        # the cases of test_rescale_gate_keeps_the_reference_bits: the total
+        # first passes 1e250 as far after a stop test as the gate must reach
+        rng = np.random.default_rng(after_stop)
+        a = np.concatenate([[49.0], np.exp(rng.uniform(np.log(1e-3), np.log(49.5), 40))])
+        x = np.concatenate([[x], rng.uniform(0.0, 2.0, 40)])
+        want = []
+        log_kummer_series(a, x, want)
+        _, seen = self.package_rescales(a, x)
+        assert seen == sorted(want)
+        assert seen[0] == (self.first_rescale_pass(49.0, x[0]), 0)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
