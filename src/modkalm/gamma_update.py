@@ -51,7 +51,7 @@ def _solve_gamma_vec(log_r: np.ndarray) -> np.ndarray:
     return np.exp(lg)
 
 
-def fit_gamma_prior(mu, var, counters: dict | None = None) -> GammaPrior:
+def fit_gamma_prior(mu, var, counters: dict | list | None = None) -> GammaPrior:
     """Moment-match the Gamma-shaped amplitude prior to (mean, variance).
 
     Solves Γ²(γ+½)/(γΓ²(γ)) = μ²/(μ²+σ²) for the shape, which is bracketed
@@ -72,8 +72,8 @@ def fit_gamma_prior(mu, var, counters: dict | None = None) -> GammaPrior:
         log_r = np.log(mu * mu) - np.log(second)
     lo = log_r <= _GRID_LOG_F[0]
     hi = log_r >= _GRID_LOG_F[-1]
-    tally(counters, "gamma_clamped_low", np.count_nonzero(lo))
-    tally(counters, "gamma_clamped_high", np.count_nonzero(hi))
+    tally(counters, "gamma_clamped_low", lo)
+    tally(counters, "gamma_clamped_high", hi)
 
     gamma = np.empty_like(mu)
     gamma[lo] = GAMMA_MIN
@@ -84,7 +84,7 @@ def fit_gamma_prior(mu, var, counters: dict | None = None) -> GammaPrior:
     return GammaPrior(gamma, np.sqrt(second / gamma))
 
 
-def mdkm_posterior(prior: GammaPrior, nu2, y, counters: dict | None = None):
+def mdkm_posterior(prior: GammaPrior, nu2, y, counters: dict | list | None = None):
     """Posterior amplitude mean and variance given noisy amplitude y.
 
     The posterior under the Gamma-shaped prior is again of generalized-Gamma
@@ -136,5 +136,5 @@ def mdkm_posterior(prior: GammaPrior, nu2, y, counters: dict | None = None):
 
     var = second - mean * mean
     floor = VAR_FLOOR_REL * y * y
-    tally(counters, "posterior_var_floored", np.count_nonzero(var < floor))
+    tally(counters, "posterior_var_floored", var < floor)
     return mean, np.maximum(var, floor)

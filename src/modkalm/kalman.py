@@ -11,7 +11,9 @@ whole frame of frequency bins can be stepped at once; the maths per slice is
 identical to the scalar case.  :func:`update` takes its ridge, projection
 and failure decisions per row, so no row's result depends on another, and it
 returns a row it cannot invert as NaN instead of raising.  :func:`tally` is
-the one helper through which every stage adds to the run's counters.
+the one helper through which every stage adds to the run's counters; given
+a list of counter dicts, one per utterance of a batch whose bins are
+stacked as the rows, it gives each utterance the events of its own rows.
 """
 from __future__ import annotations
 
@@ -28,11 +30,27 @@ _COND_LIMIT = 1e12
 _RIDGE = 1e-8
 
 
-def tally(counters: dict | None, key: str, n: int = 1) -> None:
-    """Add ``n`` to ``counters[key]``; no-op without a dict or when n is 0,
-    so a key appears only once something happened."""
-    if counters is not None and n:
-        counters[key] = counters.get(key, 0) + int(n)
+def tally(counters, key: str, hits=1) -> None:
+    """Add the events ``hits`` to ``counters[key]``.
+
+    ``hits`` is a count (an int or a numpy scalar), or a boolean array
+    whose leading axis runs over batch rows, each true entry one event.  ``counters`` is
+    ``None`` (nothing is kept), one run's dict, or a list of dicts for a
+    batch of runs that own equal consecutive shares of the rows, in order;
+    each dict then gets the events of its own rows.  A key appears only
+    once something happened.
+    """
+    if counters is None:
+        return
+    if isinstance(counters, dict):
+        n = int(np.count_nonzero(hits)) if isinstance(hits, np.ndarray) else int(hits)
+        if n:
+            counters[key] = counters.get(key, 0) + n
+        return
+    shares = np.asarray(hits).reshape(len(counters), -1).sum(axis=1).tolist()
+    for run, n in zip(counters, shares):
+        if n:
+            run[key] = run.get(key, 0) + n
 
 
 @dataclass
@@ -102,7 +120,7 @@ class MomentPair:
             raise ValueError("sigma shape does not match mu")
 
 
-def predict(state: KalmanState, F, W, counters: dict | None = None):
+def predict(state: KalmanState, F, W, counters: dict | list | None = None):
     """One-step time update; returns the predicted state and prior moments.
 
     ``F`` is the transition and ``W`` the process-noise covariance, both
@@ -122,7 +140,7 @@ def predict(state: KalmanState, F, W, counters: dict | None = None):
 
     sel = state.picked()
     mu_raw = a[..., sel]
-    tally(counters, "prior_mean_clamped", np.count_nonzero(mu_raw < 0.0))
+    tally(counters, "prior_mean_clamped", mu_raw < 0.0)
     mu = np.maximum(mu_raw, 0.0)
     Sigma = P[..., sel, :][..., :, sel]
     return KalmanState(a, P, state.p, state.q), MomentPair(mu, Sigma)
@@ -132,7 +150,7 @@ def update(
     prior_state: KalmanState,
     prior: MomentPair,
     posterior: MomentPair,
-    counters: dict | None = None,
+    counters: dict | list | None = None,
 ) -> KalmanState:
     """Fold posterior moments of the picked amplitudes back into the state.
 
@@ -170,10 +188,9 @@ def update(
     lo, hi = _eig_magnitudes(prior.sigma)
     dead = ~(np.isfinite(hi) & (hi > 0.0))  # zero or non-finite: no ridge helps
     ridged = ~dead & ~(hi <= _COND_LIMIT * lo)
-    n_ridged = np.count_nonzero(ridged)
-    tally(counters, "sigma_regularized", n_ridged)
+    tally(counters, "sigma_regularized", ridged)
     Sigma = prior.sigma
-    if n_ridged:
+    if ridged.any():
         tr = np.trace(Sigma, axis1=-2, axis2=-1)
         Sigma = np.where(ridged[..., None, None],
                          Sigma + (_RIDGE * tr / d)[..., None, None] * np.eye(d), Sigma)
@@ -226,7 +243,7 @@ def update(
         indefinite = w[..., 0] < -_PSD_TOL * w[..., -1]
         if indefinite.any():
             P_new[indefinite] = psd_project(P_new[indefinite])
-            tally(counters, "psd_projected", np.count_nonzero(indefinite))
+            tally(counters, "psd_projected", indefinite)
     if any_dead:
         a_new[dead] = np.nan
         P_new[dead] = np.nan

@@ -108,6 +108,7 @@ def speech_lpc_grid(precleaned_amps, mod_frames: int, order: int):
         r[:, :, l] = np.einsum("skt,skt->sk", wseg[:, :, : mlen - l],
                                wseg[:, :, l:]) / mlen
     r /= wlags / mlen
+    del segs, wseg  # the largest array here, not needed by the fits
     coeffs, resvar = levinson_grid(r.reshape(S * K, order + 1), order)
     return coeffs.reshape(S, K, order), resvar.reshape(S, K)
 

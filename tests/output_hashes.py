@@ -31,6 +31,13 @@ that skip the mixture weights::
 
     lowsnr/mode/0 <sha256 of the float64 enhance output> <counters dict>
 
+and, for each mode, one ``modkalm enhance --mode mode`` call over the
+``BATCH_FILES`` WAVs (slices of different lengths and SNRs, and an
+all-zero file), which the command enhances in batches::
+
+    batch/mode <sha256 of each written WAV, in input order> <sha256 of the printed lines>
+
+The printed lines are hashed with the output directory written as OUT.
 Two checkouts whose outputs and counters are identical print identical
 lines, so a change that must keep the output bit-identical is checked by
 running this before and after it::
@@ -63,6 +70,8 @@ SEEDS = range(5)
 SILENT_SECONDS = 0.3
 HISNR_DB = 20.0
 LOWSNR_DB = -5.0
+# (seed, seconds, SNR dB) of each batch file; seconds 0 is an all-zero file
+BATCH_FILES = ((1, 0.8, 0.0), (2, 0.3, -5.0), (0, 0.2, None), (3, 0.6, 10.0), (4, 0.45, 0.0))
 
 
 def _print_run(tag: str, noisy: np.ndarray, mode: str) -> None:
@@ -96,6 +105,25 @@ def main() -> int:
         _print_run(f"hisnr/{mode}/0", add_white(bench_signal(0), 0, HISNR_DB), mode)
     for mode in MODES:
         _print_run(f"lowsnr/{mode}/0", add_white(bench_signal(0), 0, LOWSNR_DB), mode)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, (seed, seconds, snr) in enumerate(BATCH_FILES):
+            x = bench_signal(seed)[: int(seconds * RATE)]
+            x = np.zeros_like(x) if snr is None else add_white(x, seed, snr)
+            peak = np.max(np.abs(x))
+            paths.append(Path(tmp) / f"in{i}.wav")
+            write_wav(paths[-1], 0.5 * x / peak if peak else x, RATE)
+        for mode in MODES:
+            out, printed = Path(tmp) / f"batch-{mode}", io.StringIO()
+            with contextlib.redirect_stdout(printed):
+                code = cli_main(["enhance", "--mode", mode, *map(str, paths), "-o", str(out)])
+            if code != 0:
+                raise SystemExit(f"modkalm enhance --mode {mode} exited with {code}")
+            digests = [hashlib.sha256((out / f"{p.stem}.enhanced.wav").read_bytes()).hexdigest()
+                       for p in paths]
+            lines = printed.getvalue().replace(str(out), "OUT").replace(tmp, "TMP")
+            digests.append(hashlib.sha256(lines.encode()).hexdigest())
+            print(f"batch/{mode} {' '.join(digests)}", flush=True)
     return 0
 
 

@@ -6,8 +6,9 @@ import os
 import numpy as np
 import pytest
 
+import modkalm.cli
 from modkalm.cli import _mix_at_snr, main
-from modkalm.enhancer import EnhancerConfig, enhance
+from modkalm.enhancer import EnhancerConfig, Mode, enhance
 from modkalm.stft import read_wav, write_wav
 
 RATE = 16000
@@ -144,6 +145,64 @@ class TestEnhanceCommand:
         write_wav(tmp_path / "ref.wav", enhance(x, RATE, EnhancerConfig()), RATE)
         out = (tmp_path / "out" / "short.enhanced.wav").read_bytes()
         assert out == (tmp_path / "ref.wav").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def batch_wavs(tmp_path_factory):
+    """Per mode, WAVs of the members of ``test_enhancer.batch_members``
+    (four lengths at -5/0/+10 dB, digital silence, all zeros)."""
+    from test_enhancer import batch_members
+    root = tmp_path_factory.mktemp("batch")
+    paths = {}
+    for mode in Mode:
+        paths[mode] = []
+        for i, x in enumerate(batch_members(mode)):
+            path = root / f"{mode.value}{i}.wav"
+            peak = np.max(np.abs(x))
+            write_wav(path, 0.5 * x / peak if peak else x, RATE)
+            paths[mode].append(str(path))
+    return paths
+
+
+def enhance_call(mode, paths, out_dir, capsys, *flags):
+    """Exit code, output bytes per input and printed lines of one
+    ``modkalm enhance`` call, with ``out_dir`` in the lines written as OUT."""
+    rc = main(["enhance", "--mode", mode.value, *paths, "-o", str(out_dir), *flags])
+    lines = capsys.readouterr().out.replace(str(out_dir), "OUT").splitlines()
+    outputs = [(out_dir / (os.path.basename(p)[:-4] + ".enhanced.wav")).read_bytes()
+               for p in paths]
+    return rc, outputs, lines
+
+
+class TestEnhanceBatches:
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_batches_write_and_print_what_single_files_do(self, batch_wavs, tmp_path,
+                                                          capsys, monkeypatch, mode):
+        paths = batch_wavs[mode]
+        # a budget that splits the files into batches of several sizes
+        cells = [modkalm.cli._cells(p) for p in paths]
+        monkeypatch.setattr(modkalm.cli, "BATCH_CELLS", cells[0] + cells[1] + cells[2])
+        assert [len(b) for b in modkalm.cli._batches(paths)] == [3, 2]
+        alone = [enhance_call(mode, [p], tmp_path / "alone", capsys) for p in paths]
+        assert all(rc == 0 for rc, _, _ in alone)
+        expect = ([out for _, (out,), _ in alone], [line for _, _, (line,) in alone])
+        for workers in ("1", "2"):
+            rc, outputs, lines = enhance_call(mode, paths, tmp_path / workers, capsys,
+                                              "--workers", workers)
+            assert rc == 0
+            assert (outputs, lines) == expect
+
+    def test_unreadable_file_fails_the_run_as_before(self, wavs, batch_wavs, tmp_path,
+                                                     capsys):
+        # the 8 kHz file sits in the first batch: exit 1 with read_wav's
+        # message, and no output of that batch is written
+        paths = [batch_wavs[Mode.MDKM][0], str(wavs / "slow.wav"), batch_wavs[Mode.MDKM][1]]
+        assert len(modkalm.cli._batches(paths)) == 1
+        rc = main(["enhance", "--mode", "mdkm", *paths, "-o", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {wavs / 'slow.wav'}: sample rate 8000 != expected 16000\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBenchCommand:

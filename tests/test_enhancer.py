@@ -7,7 +7,8 @@ from scipy.ndimage import uniform_filter1d
 from scipy.signal import lfilter
 
 import modkalm.enhancer as enh
-from modkalm.enhancer import Diagnostics, EnhancerConfig, Mode, diagnose, enhance
+from modkalm.enhancer import (Diagnostics, EnhancerConfig, Mode, diagnose, diagnose_batch,
+                              enhance)
 from modkalm.gaussring import DEFAULT_RING_CAP
 from modkalm.kalman import MomentPair
 from modkalm.logmmse import logmmse_enhance, track_noise
@@ -221,6 +222,72 @@ class TestDiagnostics:
         y = add_white(voiced_babble(4, dur=0.6), 4, 0.0)
         cfg = EnhancerConfig(mode=Mode.MDKR)
         assert np.array_equal(diagnose(y, RATE, cfg).enhanced, enhance(y, RATE, cfg))
+
+
+def batch_members(mode) -> list:
+    """Utterances of different lengths at -5, 0 and +10 dB, one with a
+    digital-silence lead-in and one all zeros; short in mdkr, whose ring
+    cells cost ~0.1 ms each."""
+    durs = (0.12, 0.2, 0.1, 0.15) if mode is Mode.MDKR else (0.5, 0.9, 0.3, 0.7)
+    members = [add_white(voiced_babble(20 + i, dur=dur), 20 + i, snr)
+               for i, (dur, snr) in enumerate(zip(durs, (-5.0, 0.0, 10.0, 0.0)))]
+    members[3][: members[3].size // 3] = 0.0
+    members.insert(2, np.zeros(int(0.2 * RATE)))
+    return members
+
+
+def same_bits(a, b) -> bool:
+    return (a is None and b is None) or (
+        a is not None and b is not None and a.dtype == b.dtype and a.shape == b.shape
+        and a.tobytes() == b.tobytes())
+
+
+class TestBatch:
+    @pytest.mark.parametrize("mode", [Mode.LOGMMSE, Mode.MDKM, Mode.MDKR])
+    def test_each_member_gets_its_solo_run(self, mode):
+        cfg = EnhancerConfig(mode=mode)
+        members = batch_members(mode)
+        batch = diagnose_batch(iter(members), RATE, cfg)
+        assert len(batch) == len(members)
+        for x, got in zip(members, batch):
+            alone = diagnose(x, RATE, cfg)
+            assert got.mode is mode
+            assert same_bits(got.enhanced, alone.enhanced)
+            assert got.counters == alone.counters
+            assert same_bits(got.g_speech, alone.g_speech)
+            assert same_bits(got.g_noise, alone.g_noise)
+            assert same_bits(got.prediction_gain_db, alone.prediction_gain_db)
+
+    def test_longest_member_first_keeps_a_c_ordered_prefix(self, monkeypatch):
+        # the frame loop carries the rows still running as a leading prefix
+        real = enh.predict
+        seen = []
+
+        def spy(state, *args, **kwargs):
+            seen.append((state.a.shape[0], state.a.flags.c_contiguous,
+                         state.P.flags.c_contiguous))
+            return real(state, *args, **kwargs)
+
+        monkeypatch.setattr(enh, "predict", spy)
+        members = [add_white(voiced_babble(30 + i, dur=d), 30 + i, 0.0)
+                   for i, d in enumerate((0.2, 0.4, 0.3))]
+        diagnose_batch(members, RATE, EnhancerConfig(mode=Mode.MDKM))
+        rows = [r for r, *_ in seen]
+        assert rows == sorted(rows, reverse=True)
+        assert sorted(set(rows)) == [257, 2 * 257, 3 * 257]
+        assert all(a and b for _, a, b in seen)
+
+    def test_first_bad_member_raises_before_the_rest_are_read(self):
+        read = []
+
+        def signals():
+            for x in (np.ones(4000), np.array([]), np.full(4000, np.nan)):
+                read.append(x.size)
+                yield x
+
+        with pytest.raises(ValueError, match="signal is empty"):
+            diagnose_batch(signals(), RATE, EnhancerConfig(mode=Mode.MDKM))
+        assert read == [4000, 0]
 
 
 class TestRingCellCall:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modkalm.kalman import KalmanState, MomentPair, predict, psd_project, update
+from modkalm.kalman import KalmanState, MomentPair, predict, psd_project, tally, update
 from reference import ModulationLpcModel, build_transition
 
 
@@ -501,3 +501,24 @@ class TestContainers:
             MomentPair(np.zeros(3), np.eye(3))
         with pytest.raises(ValueError):
             MomentPair(np.zeros(2), np.eye(3))
+
+
+class TestTally:
+    def test_counts_and_masks_into_one_dict(self):
+        counters = {}
+        tally(counters, "a")
+        tally(counters, "a", np.int64(4))        # numpy's count_nonzero type
+        tally(counters, "b", np.array([[True, False], [True, True]]))
+        tally(counters, "c", np.zeros(3, dtype=bool))
+        tally(counters, "d", np.bool_(True))     # a 0-d comparison
+        tally(None, "a", 7)
+        assert counters == {"a": 5, "b": 3, "d": 1}
+
+    def test_a_list_of_dicts_splits_the_rows_in_equal_shares(self):
+        runs = [{}, {"b": 1}, {}]
+        rows = np.array([[True, True], [False, False],    # run 0
+                         [False, True], [True, True],     # run 1
+                         [False, False], [False, False]])  # run 2
+        tally(runs, "b", rows)
+        tally(runs[:2], "c", np.array([False, True, True, True]))
+        assert runs == [{"b": 2, "c": 1}, {"b": 4, "c": 2}, {}]
