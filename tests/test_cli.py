@@ -182,7 +182,7 @@ class TestEnhanceBatches:
         # a budget that splits the files into batches of several sizes
         cells = [modkalm.cli._cells(p) for p in paths]
         monkeypatch.setattr(modkalm.cli, "BATCH_CELLS", cells[0] + cells[1] + cells[2])
-        assert [len(b) for b in modkalm.cli._batches(paths)] == [3, 2]
+        assert [len(b) for b in modkalm.cli._batches(paths)] == [3, len(paths) - 3]
         alone = [enhance_call(mode, [p], tmp_path / "alone", capsys) for p in paths]
         assert all(rc == 0 for rc, _, _ in alone)
         expect = ([out for _, (out,), _ in alone], [line for _, _, (line,) in alone])
