@@ -47,8 +47,9 @@ log = logging.getLogger("modkalm.cli")
 # frame loop over a batch's stacked bins costs less per cell than a file at
 # a time, but the batch holds the spectra and model grids of all its files
 # at once, about 1.1 MB per 0.5 s of audio.  At this size the benchmark's
-# batch workload (twelve 0.5 s files) peaked 1.8% above one file at a time
-# (three files per batch: 1.2%), half its 5% bound on peak memory.
+# batch workload (twelve 0.5 s files) peaked 1.8-2.0% above one file at a
+# time (three files per batch: 0.8-1.2%), within half its 5% bound on
+# peak memory.
 BATCH_CELLS = 4 * (SAMPLE_RATE // 2 // FRAME_INC + 1) * (FRAME_LEN // 2 + 1)
 
 

@@ -34,11 +34,11 @@ def tally(counters, key: str, hits=1) -> None:
     """Add the events ``hits`` to ``counters[key]``.
 
     ``hits`` is a count (an int or a numpy scalar), or a boolean array
-    whose leading axis runs over batch rows, each true entry one event.  ``counters`` is
-    ``None`` (nothing is kept), one run's dict, or a list of dicts for a
-    batch of runs that own equal consecutive shares of the rows, in order;
-    each dict then gets the events of its own rows.  A key appears only
-    once something happened.
+    whose leading axis runs over batch rows, each true entry one event.
+    ``counters`` is ``None`` (nothing is kept), one run's dict, or a list
+    of dicts for a batch of runs that own equal consecutive shares of the
+    rows, in order; each dict then gets the events of its own rows.  A key
+    appears only once something happened.
     """
     if counters is None:
         return

@@ -62,11 +62,10 @@ def levinson_grid(r: np.ndarray, order: int):
     if r.ndim != 2 or r.shape[1] < order + 1:
         raise ValueError("need a (batch, order+1) autocorrelation array")
     B = r.shape[0]
-    r = r.copy()
-    r[:, 0] *= 1.0 + _DIAG_LOAD
+    # the loaded r[:, 0] is read only here; the recursion reads lags >= 1
+    err = r[:, 0] * (1.0 + _DIAG_LOAD)
     c = np.zeros((B, order))
-    err = r[:, 0].copy()
-    alive = r[:, 0] > 0
+    alive = err > 0
     err[~alive] = 0.0
     for i in range(1, order + 1):
         dot = np.zeros(B)
@@ -108,7 +107,7 @@ def speech_lpc_grid(precleaned_amps, mod_frames: int, order: int):
         r[:, :, l] = np.einsum("skt,skt->sk", wseg[:, :, : mlen - l],
                                wseg[:, :, l:]) / mlen
     r /= wlags / mlen
-    del segs, wseg  # the largest array here, not needed by the fits
+    del wseg  # the largest array here, not needed by the fits
     coeffs, resvar = levinson_grid(r.reshape(S * K, order + 1), order)
     return coeffs.reshape(S, K, order), resvar.reshape(S, K)
 
