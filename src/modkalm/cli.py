@@ -17,7 +17,11 @@ Two subcommands:
 
 The argument parser is the one declaration of the options; ``--mode`` is
 the one enhancer setting, since the framing and model orders are fixed at
-the paper's operating point.
+the paper's operating point.  A ``key = value`` config file (``--config``)
+sets flags by their dest names (``out_dir``, ``workers``, ``noise``, ...),
+each value parsed as that flag parses it; keys that only the other
+subcommand has are ignored, and a flag given on the command line replaces
+the file's value.
 
 Exit codes: 0 success, 1 runtime failure (I/O, bad audio), 2 usage error.
 ``MODKALM_LOG`` sets the log level (default WARNING).
@@ -54,11 +58,14 @@ BATCH_CELLS = 4 * (SAMPLE_RATE // 2 // FRAME_INC + 1) * (FRAME_LEN // 2 + 1)
 
 
 class UsageError(ValueError):
-    """Bad flag combination: report and exit 2."""
+    """Bad flag/config combination: report and exit 2."""
 
 
 def _add_shared(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("-o", "--out-dir", default=".", help="output directory")
+    ap.add_argument("--config", metavar="FILE",
+                    help="key = value file setting flags by dest name; "
+                         "flags given here replace its values")
     ap.add_argument("--workers", type=int, default=1,
                     help="process count for file-level parallelism")
 
@@ -79,7 +86,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     bench = sub.add_parser("bench", help="mix, enhance, and score")
     bench.add_argument("inputs", nargs="+", metavar="CLEAN",
                        help="clean reference files or globs")
-    bench.add_argument("--noise", help="noise WAV to mix in (required)")
+    bench.add_argument("--noise", help="noise WAV to mix in (required; may come "
+                       "from --config)")
     bench.add_argument("--snr", nargs="+", type=float, default=[0.0],
                        metavar="DB", help="global SNRs to test")
     bench.add_argument("--mode", action="append", choices=modes,
@@ -89,6 +97,55 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                        help="seed for the noise excerpt's alignment")
     _add_shared(bench)
     return parser, {"enhance": enh, "bench": bench}
+
+
+def _load_config(path: str, subparsers: dict) -> dict:
+    """Per subcommand, a namespace of the values the file sets.  Each line
+    goes through the flag of that dest as if given on the command line."""
+    flags = {name: {a.dest: a for a in sp._actions
+                    if a.option_strings and a.dest not in ("help", "config")}
+             for name, sp in subparsers.items()}
+    values = {name: argparse.Namespace() for name in subparsers}
+    try:
+        text = Path(path).read_text()
+    except OSError as err:
+        raise UsageError(f"cannot read config file: {err}") from err
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        key, _, value = line.partition("=")
+        key = key.strip().replace("-", "_")
+        owners = [name for name in subparsers if key in flags[name]]
+        if not owners:
+            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+        for name in owners:
+            sp, action = subparsers[name], flags[name][key]
+            tokens = value.split() if action.nargs == "+" else [value.strip()]
+            if not tokens:
+                raise UsageError(f"{path}:{lineno}: {key} needs a value")
+            try:
+                action(sp, values[name], sp._get_values(action, tokens))
+            except argparse.ArgumentError as err:
+                raise UsageError(f"{path}:{lineno}: {err}") from err
+    return values
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """The flags given, over the --config file's values, over the flags'
+    defaults."""
+    parser, subparsers = _build_parser()
+    ns = parser.parse_args(argv)
+    if ns.config is None:
+        return ns
+    from_file = _load_config(ns.config, subparsers)[ns.command]
+    # parsed again without defaults, the namespace holds only the flags given
+    for action in subparsers[ns.command]._actions:
+        action.default = argparse.SUPPRESS
+    given = parser.parse_args(argv)
+    return argparse.Namespace(**{**vars(ns), **vars(from_file), **vars(given)})
 
 
 def _expand(patterns) -> list[str]:
@@ -203,7 +260,7 @@ def _bench_one(job: tuple) -> dict:
 
 def cmd_bench(ns: argparse.Namespace) -> int:
     if ns.noise is None:
-        raise UsageError("bench needs --noise")
+        raise UsageError("bench needs --noise (a flag or a config key)")
     if not all(np.isfinite(ns.snr)):
         raise UsageError("SNR values must be finite")
     if ns.seed < 0:
@@ -245,7 +302,7 @@ def main(argv=None) -> int:
     logging.getLogger("modkalm").setLevel(level)
 
     try:
-        ns = _build_parser()[0].parse_args(argv)
+        ns = _parse_args(argv)
         log.debug("parsed options: %s", vars(ns))
         if ns.workers < 1:
             raise UsageError("--workers must be at least 1")

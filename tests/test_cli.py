@@ -114,13 +114,6 @@ class TestEnhanceCommand:
         assert "--seed" in capsys.readouterr().err
         assert not (tmp_path / "in.enhanced.wav").exists()
 
-    def test_config_flag_is_gone(self, wavs, tmp_path, capsys):
-        # a key = value file once set the flags; the command line is the one source
-        rc = main(["enhance", "--config", "x", str(wavs / "in.wav"), "-o", str(tmp_path)])
-        assert rc == 2
-        assert "unrecognized arguments: --config" in capsys.readouterr().err
-        assert not (tmp_path / "in.enhanced.wav").exists()
-
     def test_ring_cap_flag_is_gone(self, wavs, tmp_path, capsys):
         rc = main(["enhance", "--ring-cap", "32", str(wavs / "in.wav"),
                    "-o", str(tmp_path)])
@@ -288,6 +281,104 @@ class TestMixing:
     def test_silent_noise_rejected(self):
         with pytest.raises(ValueError):
             _mix_at_snr(burst_tone(), np.zeros(20000), 0.0)
+
+
+class TestConfigFile:
+    def test_file_supplies_defaults(self, wavs, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# defaults for this batch\nmode = logmmse\n")
+        assert main(["enhance", str(wavs / "in.wav"), "--config", str(cfg),
+                     "-o", str(tmp_path / "a")]) == 0
+        assert main(["enhance", "--mode", "logmmse", str(wavs / "in.wav"),
+                     "-o", str(tmp_path / "b")]) == 0
+        a = (tmp_path / "a" / "in.enhanced.wav").read_bytes()
+        assert a == (tmp_path / "b" / "in.enhanced.wav").read_bytes()
+
+    def test_flag_beats_file(self, wavs, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mode = mdkm\n")
+        assert main(["enhance", "--mode", "logmmse", str(wavs / "in.wav"),
+                     "--config", str(cfg), "-o", str(tmp_path / "a")]) == 0
+        assert main(["enhance", "--mode", "logmmse", str(wavs / "in.wav"),
+                     "-o", str(tmp_path / "b")]) == 0
+        a = (tmp_path / "a" / "in.enhanced.wav").read_bytes()
+        assert a == (tmp_path / "b" / "in.enhanced.wav").read_bytes()
+
+    def test_unknown_key_is_usage_error(self, wavs, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gain = 3\n")
+        rc = main(["enhance", str(wavs / "in.wav"), "--config", str(cfg),
+                   "-o", str(tmp_path)])
+        assert rc == 2
+        assert "gain" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["p", "q", "frame_ms", "inc_ms", "mod_frame_ms"])
+    def test_framing_and_order_keys_are_unknown(self, wavs, tmp_path, capsys, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 4\n")
+        rc = main(["enhance", str(wavs / "in.wav"), "--config", str(cfg),
+                   "-o", str(tmp_path)])
+        assert rc == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "in.enhanced.wav").exists()
+
+    def test_ring_cap_key_is_unknown(self, wavs, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("ring_cap = 32\n")
+        rc = main(["enhance", str(wavs / "in.wav"), "--config", str(cfg),
+                   "-o", str(tmp_path)])
+        assert rc == 2
+        assert "unknown key 'ring_cap'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lines, flags, modes", [
+        ("mode = mdkm\n", ["--mode", "logmmse"], ["logmmse"]),
+        ("mode = logmmse\n", [], ["logmmse"]),
+        ("mode = logmmse\nmode = mdkm\n", [], ["logmmse", "mdkm"]),
+    ], ids=["flag-replaces-file", "file-only", "repeated-key"])
+    def test_bench_modes_from_file_and_flags(self, wavs, tmp_path, lines, flags, modes):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(lines)
+        assert main(["bench", str(wavs / "in.wav"), "--noise", str(wavs / "noise_long.wav"),
+                     "--config", str(cfg), *flags, "-o", str(tmp_path)]) == 0
+        rows = (tmp_path / "bench.csv").read_text().strip().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == modes
+
+    def test_noise_from_file(self, wavs, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"noise = {wavs / 'noise_long.wav'}\nsnr = 0 5\nmode = logmmse\n")
+        assert main(["bench", str(wavs / "in.wav"), "--config", str(cfg),
+                     "-o", str(tmp_path / "a")]) == 0
+        assert main(["bench", str(wavs / "in.wav"), "--noise", str(wavs / "noise_long.wav"),
+                     "--snr", "0", "5", "--mode", "logmmse", "-o", str(tmp_path / "b")]) == 0
+        a = (tmp_path / "a" / "bench.csv").read_bytes()
+        assert a == (tmp_path / "b" / "bench.csv").read_bytes()
+        # keys that only bench has are ignored by enhance, so one file serves both
+        assert main(["enhance", str(wavs / "in.wav"), "--config", str(cfg),
+                     "-o", str(tmp_path / "c")]) == 0
+
+    def test_seed_key_is_ignored_by_enhance(self, wavs, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 3\nmode = logmmse\n")
+        assert main(["enhance", str(wavs / "in.wav"), "--config", str(cfg),
+                     "-o", str(tmp_path / "a")]) == 0
+        assert main(["enhance", "--mode", "logmmse", str(wavs / "in.wav"),
+                     "-o", str(tmp_path / "b")]) == 0
+        a = (tmp_path / "a" / "in.enhanced.wav").read_bytes()
+        assert a == (tmp_path / "b" / "in.enhanced.wav").read_bytes()
+
+    @pytest.mark.parametrize("line, flag", [
+        ("mode = wiener", "--mode"), ("mode = MDKM", "--mode"), ("workers = x", "--workers"),
+        ("snr = 0 abc", "--snr"), ("snr =", "snr"),
+    ], ids=["unknown-mode", "upper-case-mode", "p-not-int", "snr-not-float", "snr-empty"])
+    def test_bad_value_names_file_and_line(self, wavs, tmp_path, capsys, line, flag):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# batch defaults\n{line}\n")
+        rc = main(["bench", str(wavs / "in.wav"), "--noise", str(wavs / "noise_long.wav"),
+                   "--config", str(cfg), "-o", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:2:" in err and flag in err
+        assert not (tmp_path / "bench.csv").exists()
 
 
 class TestLogging:

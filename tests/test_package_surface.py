@@ -2,8 +2,8 @@
 ``src/modkalm`` defines must run when the package is used as shipped.
 
 The run below uses only public entry points: ``diagnose`` in each mode,
-``enhance`` once, and ``modkalm.cli.main`` for ``enhance`` and for
-``bench``.  It is recorded with
+``enhance`` once, and ``modkalm.cli.main`` for ``enhance`` (with a
+``--config`` file) and for ``bench``.  It is recorded with
 ``sys.setprofile``.  A function that none of them enters is reached only
 from the tests, so it belongs under ``tests/`` or nowhere.
 """
@@ -88,8 +88,10 @@ def _use_the_package(tmp_path) -> None:
     write_wav(tmp_path / "a.wav", _speech_in_noise(0.3, 1), RATE)
     write_wav(tmp_path / "noise.wav", np.random.default_rng(2).standard_normal(6000) * 0.1,
               RATE)
+    config = tmp_path / "run.cfg"
+    config.write_text("mode = mdkm\nworkers = 1\n")
     out = tmp_path / "out"
-    assert modkalm.cli.main(["enhance", "--mode", "mdkm", str(tmp_path / "a.wav"),
+    assert modkalm.cli.main(["enhance", "--config", str(config), str(tmp_path / "a.wav"),
                              "-o", str(out), "--workers", "1"]) == 0
     assert modkalm.cli.main(["bench", str(tmp_path / "a.wav"), "--noise",
                              str(tmp_path / "noise.wav"), "--mode", "logmmse",
@@ -128,8 +130,8 @@ def test_settable_surface_is_this_list():
     dests = {name: {a.dest for a in sp._actions if a.option_strings and a.dest != "help"}
              for name, sp in subparsers.items()}
     assert dests == {
-        "enhance": {"mode", "out_dir", "workers"},
-        "bench": {"noise", "snr", "mode", "seed", "out_dir", "workers"},
+        "enhance": {"mode", "out_dir", "config", "workers"},
+        "bench": {"noise", "snr", "mode", "seed", "out_dir", "config", "workers"},
     }
 
 
