@@ -265,7 +265,7 @@ def _kalman_frames(members: list, q: int) -> None:
         bad = _nonfinite_rows(mu, Sigma)
         if bad.any():
             mu[bad] = 0.0
-            Sigma[bad] = np.eye(dim) * mean_power[:L][bad, None, None]
+            Sigma[bad] = np.eye(mu.shape[1]) * mean_power[:L][bad, None, None]
         np.maximum(Sigma[:, 0, 0], sfloor[:L], out=Sigma[:, 0, 0])
         if q:
             np.maximum(Sigma[:, 1, 1], nfloor[:L], out=Sigma[:, 1, 1])

@@ -366,6 +366,46 @@ class TestFaultIsolation:
         assert diag.counters["cell_faults"] >= 40
         assert np.isfinite(diag.enhanced).all()
 
+    @pytest.mark.parametrize("mode", [Mode.MDKM, Mode.MDKR])
+    def test_non_finite_prior_rows_reset_per_member(self, monkeypatch, mode):
+        # every prior row of frame 4 comes back NaN: each row restarts at
+        # mean 0 and covariance I x its own utterance's mean power, and each
+        # member of a batch still gets what the same fault gives it alone
+        real_predict, real_update = enh.predict, enh.update
+        calls, priors = [], []
+
+        def nan_predict(*args, **kwargs):
+            state, prior = real_predict(*args, **kwargs)
+            calls.append(None)
+            if len(calls) == 5:
+                prior.sigma[:] = np.nan
+            return state, prior
+
+        def spy_update(state, prior, *args, **kwargs):
+            if len(calls) == 5:
+                priors.append((prior.mu.copy(), prior.sigma.copy()))
+            return real_update(state, prior, *args, **kwargs)
+
+        monkeypatch.setattr(enh, "predict", nan_predict)
+        monkeypatch.setattr(enh, "update", spy_update)
+        cfg = EnhancerConfig(mode=mode)
+        dur = 0.1 if mode is Mode.MDKR else 0.4
+        members = [add_white(voiced_babble(40 + i, dur=dur), 40 + i, 0.0)
+                   for i in range(2)]
+        members[1] *= 30.0
+        batch = diagnose_batch(members, RATE, cfg)
+        mu, sigma = priors[0]
+        power = np.repeat([np.mean(analyze(x).amplitude ** 2) for x in members], 257)
+        d = mu.shape[1]
+        assert np.array_equal(mu, np.zeros_like(mu))
+        assert np.array_equal(sigma, np.eye(d) * power[:, None, None])
+        for x, got in zip(members, batch):
+            calls.clear()
+            alone = diagnose(x, RATE, cfg)
+            assert np.isfinite(got.enhanced).all()
+            assert same_bits(got.enhanced, alone.enhanced)
+            assert got.counters == alone.counters
+
     @staticmethod
     def _amplitude_grid(monkeypatch, y, cfg, sigma_fault=None):
         """Run ``diagnose`` and return it with the amplitude grid handed to
