@@ -5,10 +5,12 @@ Two subcommands:
 ``modkalm enhance``
     Enhance one or more mono 16-bit WAV files and write
     ``<stem>.enhanced.wav`` next to ``-o``, printing the per-file
-    clamp/fault counters.  Consecutive files go to the enhancer in batches
-    of up to ``BATCH_CELLS`` time-frequency cells, whose Kalman stages run
-    as one (:func:`modkalm.enhancer.diagnose_batch`); each file's output and
-    counters are those of a run on that file alone.
+    clamp/fault counters.  In ``mdkm`` mode consecutive files go to the
+    enhancer in batches of up to ``BATCH_BYTES`` of WAV, and to at least as
+    many batches as workers; a batch's Kalman stages run as one
+    (:func:`modkalm.enhancer.diagnose_batch`), and each file's output and
+    counters are those of a run on that file alone.  The other modes take
+    one file per job.
 
 ``modkalm bench``
     Mix a noise file into clean references at exact global SNRs, run the
@@ -43,18 +45,19 @@ import numpy as np
 
 from .enhancer import EnhancerConfig, Mode, diagnose, diagnose_batch
 from .metrics import seg_snr
-from .stft import FRAME_INC, FRAME_LEN, SAMPLE_RATE, read_wav, write_wav
+from .stft import SAMPLE_RATE, read_wav, write_wav
 
 log = logging.getLogger("modkalm.cli")
 
-# Cells (frames x bins) per enhance batch: four 0.5 s files.  One Kalman
-# frame loop over a batch's stacked bins costs less per cell than a file at
-# a time, but the batch holds the spectra and model grids of all its files
-# at once, about 1.1 MB per 0.5 s of audio.  At this size the benchmark's
-# batch workload (twelve 0.5 s files) peaked 1.8-2.0% above one file at a
-# time (three files per batch: 0.8-1.2%), within half its 5% bound on
-# peak memory.
-BATCH_CELLS = 4 * (SAMPLE_RATE // 2 // FRAME_INC + 1) * (FRAME_LEN // 2 + 1)
+# WAV bytes per enhance batch: four 0.5 s files of 16 kHz 16-bit audio
+# with their headers (4 x 16,044 bytes), not five.  One Kalman frame loop
+# over a batch's stacked bins costs less per cell than a file at a time,
+# but the batch holds the spectra and model grids of all its files at once,
+# about 1.1 MB per 0.5 s of audio.  At this size the benchmark's batch
+# workload (twelve 0.5 s files) peaked 1.8-2.0% above one file at a time
+# (three files per batch: 0.8-1.2%), within half its 5% bound on peak
+# memory.
+BATCH_BYTES = 2 ** 16
 
 
 class UsageError(ValueError):
@@ -172,23 +175,19 @@ def _run_jobs(fn, jobs, workers: int) -> list:
         return list(pool.map(fn, jobs))
 
 
-def _cells(path) -> int:
-    """Time-frequency cells of a 16-bit mono WAV, estimated from its size."""
-    samples = max(os.path.getsize(path) - 44, 0) // 2
-    return (samples // FRAME_INC + 1) * (FRAME_LEN // 2 + 1)
-
-
-def _batches(paths) -> list[list[str]]:
-    """Consecutive runs of ``paths`` of at most ``BATCH_CELLS`` cells each;
-    a file larger than that is a batch of its own."""
-    batches, cells = [], 0
-    for path in paths:
-        c = _cells(path)
-        if not batches or cells + c > BATCH_CELLS:
+def _batches(paths, workers: int) -> list[list[str]]:
+    """Consecutive runs of ``paths`` of at most ``BATCH_BYTES`` each and at
+    most a ``workers``-th of all their bytes, so that every worker gets a
+    batch; a file larger than that is a batch of its own."""
+    sizes = [os.path.getsize(path) for path in paths]
+    budget = min(BATCH_BYTES, sum(sizes) / workers)
+    batches, used = [], 0
+    for path, size in zip(paths, sizes):
+        if not batches or used + size > budget:
             batches.append([])
-            cells = 0
+            used = 0
         batches[-1].append(path)
-        cells += c
+        used += size
     return batches
 
 
@@ -208,7 +207,14 @@ def cmd_enhance(ns: argparse.Namespace) -> int:
     cfg = EnhancerConfig(mode=Mode(ns.mode))
     paths = _expand(ns.inputs)
     os.makedirs(ns.out_dir, exist_ok=True)
-    jobs = [(batch, cfg, ns.out_dir) for batch in _batches(paths)]
+    # only mdkm's Kalman stage runs faster stacked: logmmse has none, and
+    # mdkr spends its time in ring cells taken one at a time, so a batch
+    # there only holds more memory
+    if cfg.mode is Mode.MDKM:
+        batches = _batches(paths, ns.workers)
+    else:
+        batches = [[path] for path in paths]
+    jobs = [(batch, cfg, ns.out_dir) for batch in batches]
     for lines in _run_jobs(_enhance_files, jobs, ns.workers):
         for line in lines:
             print(line)

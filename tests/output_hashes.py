@@ -33,7 +33,7 @@ that skip the mixture weights::
 
 and, for each mode, one ``modkalm enhance --mode mode`` call over the
 ``BATCH_FILES`` WAVs (slices of different lengths and SNRs, and an
-all-zero file), which the command enhances in batches::
+all-zero file), which the command enhances in batches in ``mdkm``::
 
     batch/mode <sha256 of each written WAV, in input order> <sha256 of the printed lines>
 

@@ -2,6 +2,7 @@
 import json
 import logging
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -173,9 +174,9 @@ class TestEnhanceBatches:
                                                           capsys, monkeypatch, mode):
         paths = batch_wavs[mode]
         # a budget that splits the files into batches of several sizes
-        cells = [modkalm.cli._cells(p) for p in paths]
-        monkeypatch.setattr(modkalm.cli, "BATCH_CELLS", cells[0] + cells[1] + cells[2])
-        assert [len(b) for b in modkalm.cli._batches(paths)] == [3, len(paths) - 3]
+        sizes = [os.path.getsize(p) for p in paths]
+        monkeypatch.setattr(modkalm.cli, "BATCH_BYTES", sum(sizes[:3]))
+        assert [len(b) for b in modkalm.cli._batches(paths, 1)] == [3, len(paths) - 3]
         alone = [enhance_call(mode, [p], tmp_path / "alone", capsys) for p in paths]
         assert all(rc == 0 for rc, _, _ in alone)
         expect = ([out for _, (out,), _ in alone], [line for _, _, (line,) in alone])
@@ -185,12 +186,41 @@ class TestEnhanceBatches:
             assert rc == 0
             assert (outputs, lines) == expect
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_only_mdkm_files_are_batched(self, batch_wavs, tmp_path, monkeypatch, mode):
+        sizes = []
+
+        def spy(signals, rate, cfg):
+            xs = list(signals)
+            sizes.append(len(xs))
+            return [SimpleNamespace(enhanced=x, counters={}) for x in xs]
+
+        monkeypatch.setattr(modkalm.cli, "diagnose_batch", spy)
+        paths = batch_wavs[Mode.MDKM]
+        assert main(["enhance", "--mode", mode.value, *paths, "-o", str(tmp_path)]) == 0
+        batched = [len(b) for b in modkalm.cli._batches(paths, 1)]
+        assert max(batched) > 1
+        assert sizes == (batched if mode is Mode.MDKM else [1] * len(paths))
+
+    def test_budget_takes_four_half_second_files(self, tmp_path):
+        path = tmp_path / "half.wav"
+        write_wav(path, np.zeros(RATE // 2), RATE)
+        assert [len(b) for b in modkalm.cli._batches([str(path)] * 9, 1)] == [4, 4, 1]
+
+    @pytest.mark.parametrize("files, workers, sizes", [
+        (4, 4, [1, 1, 1, 1]), (12, 4, [3, 3, 3, 3]), (5, 2, [2, 2, 1]), (2, 4, [1, 1])])
+    def test_every_worker_gets_a_batch(self, tmp_path, files, workers, sizes):
+        path = tmp_path / "half.wav"
+        write_wav(path, np.zeros(RATE // 2), RATE)
+        batches = modkalm.cli._batches([str(path)] * files, workers)
+        assert [len(b) for b in batches] == sizes
+
     def test_unreadable_file_fails_the_run_as_before(self, wavs, batch_wavs, tmp_path,
                                                      capsys):
         # the 8 kHz file sits in the first batch: exit 1 with read_wav's
         # message, and no output of that batch is written
         paths = [batch_wavs[Mode.MDKM][0], str(wavs / "slow.wav"), batch_wavs[Mode.MDKM][1]]
-        assert len(modkalm.cli._batches(paths)) == 1
+        assert len(modkalm.cli._batches(paths, 1)) == 1
         rc = main(["enhance", "--mode", "mdkm", *paths, "-o", str(tmp_path)])
         assert rc == 1
         err = capsys.readouterr().err
