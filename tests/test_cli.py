@@ -202,14 +202,11 @@ class TestEnhanceBatches:
         assert max(batched) > 1
         assert sizes == (batched if mode is Mode.MDKM else [1] * len(paths))
 
-    def test_budget_takes_four_half_second_files(self, tmp_path):
-        path = tmp_path / "half.wav"
-        write_wav(path, np.zeros(RATE // 2), RATE)
-        assert [len(b) for b in modkalm.cli._batches([str(path)] * 9, 1)] == [4, 4, 1]
-
     @pytest.mark.parametrize("files, workers, sizes", [
-        (4, 4, [1, 1, 1, 1]), (12, 4, [3, 3, 3, 3]), (5, 2, [2, 2, 1]), (2, 4, [1, 1])])
-    def test_every_worker_gets_a_batch(self, tmp_path, files, workers, sizes):
+        (9, 1, [4, 4, 1]), (4, 4, [1, 1, 1, 1]), (12, 4, [3, 3, 3, 3]), (5, 2, [2, 2, 1]),
+        (2, 4, [1, 1])])
+    def test_budget_takes_four_half_second_files_and_every_worker_a_batch(
+            self, tmp_path, files, workers, sizes):
         path = tmp_path / "half.wav"
         write_wav(path, np.zeros(RATE // 2), RATE)
         batches = modkalm.cli._batches([str(path)] * files, workers)
