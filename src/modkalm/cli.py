@@ -6,11 +6,11 @@ Two subcommands:
     Enhance one or more mono 16-bit WAV files and write
     ``<stem>.enhanced.wav`` next to ``-o``, printing the per-file
     clamp/fault counters.  In ``mdkm`` mode consecutive files go to the
-    enhancer in batches of up to ``BATCH_BYTES`` of WAV, and to at least as
-    many batches as workers; a batch's Kalman stages run as one
-    (:func:`modkalm.enhancer.diagnose_batch`), and each file's output and
-    counters are those of a run on that file alone.  The other modes take
-    one file per job.
+    enhancer in batches of up to ``BATCH_BYTES`` of WAV, as many as a
+    multiple of the process count and of balanced bytes; a batch's Kalman
+    stages run as one (:func:`modkalm.enhancer.diagnose_batch`), and each
+    file's output and counters are those of a run on that file alone.  The
+    other modes take one file per job.
 
 ``modkalm bench``
     Mix a noise file into clean references at exact global SNRs, run the
@@ -25,6 +25,10 @@ each value parsed as that flag parses it; keys that only the other
 subcommand has are ignored, and a flag given on the command line replaces
 the file's value.
 
+Both run their jobs on ``--workers`` processes, by default one per usable
+core: this process takes jobs itself beside ``--workers - 1`` ones started
+for the call, whichever is free taking the next job in input order.
+
 Exit codes: 0 success, 1 runtime failure (I/O, bad audio), 2 usage error.
 ``MODKALM_LOG`` sets the log level (default WARNING).
 """
@@ -34,10 +38,12 @@ import argparse
 import concurrent.futures
 import csv
 import glob
+import itertools
 import json
 import logging
 import os
 import sys
+import threading
 import zlib
 from pathlib import Path
 
@@ -53,10 +59,10 @@ log = logging.getLogger("modkalm.cli")
 # with their headers (4 x 16,044 bytes), not five.  One Kalman frame loop
 # over a batch's stacked bins costs less per cell than a file at a time,
 # but the batch holds the spectra and model grids of all its files at once,
-# about 1.1 MB per 0.5 s of audio.  At this size the benchmark's batch
-# workload (twelve 0.5 s files) peaked 1.8-2.0% above one file at a time
-# (three files per batch: 0.8-1.2%), within half its 5% bound on peak
-# memory.
+# about 1.1 MB per 0.5 s of audio, in each process that runs one.  At this
+# size the benchmark's batch workload (twelve 0.5 s files) peaked 1.8-2.0%
+# above one file at a time in one process (three files per batch:
+# 0.8-1.2%), within half its 5% bound on peak memory.
 BATCH_BYTES = 2 ** 16
 
 
@@ -64,13 +70,23 @@ class UsageError(ValueError):
     """Bad flag/config combination: report and exit 2."""
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on, or the host's where the platform
+    cannot tell."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _add_shared(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("-o", "--out-dir", default=".", help="output directory")
     ap.add_argument("--config", metavar="FILE",
                     help="key = value file setting flags by dest name; "
                          "flags given here replace its values")
-    ap.add_argument("--workers", type=int, default=1,
-                    help="process count for file-level parallelism")
+    ap.add_argument("--workers", type=int, default=_usable_cores(),
+                    help="processes running the files' jobs, this one "
+                         "included (default: the usable cores, %(default)s)")
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
@@ -169,26 +185,76 @@ def _counters_text(counters: dict) -> str:
 
 
 def _run_jobs(fn, jobs, workers: int) -> list:
-    if workers <= 1 or len(jobs) <= 1:
+    """``[fn(job) for job in jobs]`` on ``min(workers, len(jobs))``
+    processes: this one and ones started for the call.  Whichever one is
+    free takes the next job in input order.  Once a job fails no further
+    job starts; the running ones finish, and the error of the first job in
+    input order that failed is raised."""
+    lanes = min(workers, len(jobs))
+    if lanes <= 1:
         return [fn(job) for job in jobs]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
+    results, errors = [None] * len(jobs), {}
+    order, lock, stop = iter(range(len(jobs))), threading.Lock(), threading.Event()
+
+    def take():
+        with lock:
+            return None if stop.is_set() else next(order, None)
+
+    def lane(run, i):
+        while i is not None:
+            try:
+                results[i] = run(i)
+            except Exception as err:
+                errors[i] = err
+                stop.set()
+            i = take()
+
+    with concurrent.futures.ProcessPoolExecutor(max_workers=lanes - 1) as pool:
+        # under fork the first submit forks every process, so it comes
+        # before this process starts a thread or a job
+        started = {i: pool.submit(fn, jobs[i]) for i in itertools.islice(order, lanes - 1)}
+
+        def in_pool(i):
+            return (started.pop(i, None) or pool.submit(fn, jobs[i])).result()
+        feeders = [threading.Thread(target=lane, args=(in_pool, i)) for i in started]
+        for feeder in feeders:
+            feeder.start()
+        try:
+            lane(lambda i: fn(jobs[i]), take())
+        finally:
+            stop.set()
+            for feeder in feeders:
+                feeder.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _batches(paths, workers: int) -> list[list[str]]:
-    """Consecutive runs of ``paths`` of at most ``BATCH_BYTES`` each and at
-    most a ``workers``-th of all their bytes, so that every worker gets a
-    batch; a file larger than that is a batch of its own."""
+    """``paths`` cut into consecutive batches where their cumulative bytes
+    cross the bounds of ``count`` equal shares: a file goes to the share
+    that holds its middle byte, and a share holding no middle is no batch.
+    ``count`` is the least multiple of ``workers``, from the first whose
+    shares fit in ``BATCH_BYTES``, at which every batch of two or more files
+    fits there too, so each process gets as many batches as the others,
+    each within a file's bytes of a share."""
     sizes = [os.path.getsize(path) for path in paths]
-    budget = min(BATCH_BYTES, sum(sizes) / workers)
-    batches, used = [], 0
-    for path, size in zip(paths, sizes):
-        if not batches or used + size > budget:
-            batches.append([])
-            used = 0
-        batches[-1].append(path)
-        used += size
-    return batches
+    total = sum(sizes) or 1
+    count = workers * max(1, -(-total // (workers * BATCH_BYTES)))
+    while True:
+        batches, used, start, last = [], [], 0, None
+        for path, size in zip(paths, sizes):
+            share = (2 * start + size) * count // (2 * total)
+            if share != last:
+                batches.append([])
+                used.append(0)
+                last = share
+            batches[-1].append(path)
+            used[-1] += size
+            start += size
+        if all(n <= BATCH_BYTES or len(b) == 1 for b, n in zip(batches, used)):
+            return batches
+        count += workers
 
 
 def _enhance_files(job: tuple) -> list[str]:

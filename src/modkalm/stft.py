@@ -116,8 +116,13 @@ def synthesize(amplitudes, phases, n_samples: int) -> np.ndarray:
 
 
 def read_wav(path, expect_rate: int | None = None) -> tuple[np.ndarray, int]:
-    """Read a 16-bit PCM mono WAV file, normalized to [-1, 1)."""
-    with wave.open(str(path), "rb") as w:
+    """Read a 16-bit PCM mono WAV file, normalized to [-1, 1).  A file that
+    is not a WAV the ``wave`` module can read raises ``ValueError``."""
+    try:
+        w = wave.open(str(path), "rb")
+    except (wave.Error, EOFError) as err:
+        raise ValueError(f"{path}: not a WAV file ({str(err) or 'too short'})") from err
+    with w:
         if w.getnchannels() != 1:
             raise ValueError(f"{path}: mono required")
         if w.getsampwidth() != 2:

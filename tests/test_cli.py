@@ -1,7 +1,11 @@
 """Tests for the batch command-line front end."""
+import concurrent.futures
 import json
 import logging
+import multiprocessing
 import os
+import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -173,16 +177,16 @@ class TestEnhanceBatches:
     def test_batches_write_and_print_what_single_files_do(self, batch_wavs, tmp_path,
                                                           capsys, monkeypatch, mode):
         paths = batch_wavs[mode]
-        # a budget that splits the files into batches of several sizes
+        # a budget that splits the files into two batches for one process
         sizes = [os.path.getsize(p) for p in paths]
         monkeypatch.setattr(modkalm.cli, "BATCH_BYTES", sum(sizes[:3]))
-        assert [len(b) for b in modkalm.cli._batches(paths, 1)] == [3, len(paths) - 3]
+        assert [len(b) for b in modkalm.cli._batches(paths, 1)] == [2, len(paths) - 2]
         alone = [enhance_call(mode, [p], tmp_path / "alone", capsys) for p in paths]
         assert all(rc == 0 for rc, _, _ in alone)
         expect = ([out for _, (out,), _ in alone], [line for _, _, (line,) in alone])
-        for workers in ("1", "2"):
-            rc, outputs, lines = enhance_call(mode, paths, tmp_path / workers, capsys,
-                                              "--workers", workers)
+        for flags in (["--workers", "1"], ["--workers", "2"], ["--workers", "3"], []):
+            rc, outputs, lines = enhance_call(mode, paths, tmp_path / "-".join(flags),
+                                              capsys, *flags)
             assert rc == 0
             assert (outputs, lines) == expect
 
@@ -197,14 +201,16 @@ class TestEnhanceBatches:
 
         monkeypatch.setattr(modkalm.cli, "diagnose_batch", spy)
         paths = batch_wavs[Mode.MDKM]
-        assert main(["enhance", "--mode", mode.value, *paths, "-o", str(tmp_path)]) == 0
+        # in this process only: a forked worker's spy records nothing here
+        assert main(["enhance", "--mode", mode.value, *paths, "-o", str(tmp_path),
+                     "--workers", "1"]) == 0
         batched = [len(b) for b in modkalm.cli._batches(paths, 1)]
         assert max(batched) > 1
         assert sizes == (batched if mode is Mode.MDKM else [1] * len(paths))
 
     @pytest.mark.parametrize("files, workers, sizes", [
-        (9, 1, [4, 4, 1]), (4, 4, [1, 1, 1, 1]), (12, 4, [3, 3, 3, 3]), (5, 2, [2, 2, 1]),
-        (2, 4, [1, 1])])
+        (9, 1, [3, 3, 3]), (4, 4, [1, 1, 1, 1]), (12, 4, [3, 3, 3, 3]), (5, 2, [2, 3]),
+        (2, 4, [1, 1]), (12, 2, [3, 3, 3, 3]), (4, 1, [4])])
     def test_budget_takes_four_half_second_files_and_every_worker_a_batch(
             self, tmp_path, files, workers, sizes):
         path = tmp_path / "half.wav"
@@ -214,15 +220,163 @@ class TestEnhanceBatches:
 
     def test_unreadable_file_fails_the_run_as_before(self, wavs, batch_wavs, tmp_path,
                                                      capsys):
-        # the 8 kHz file sits in the first batch: exit 1 with read_wav's
-        # message, and no output of that batch is written
+        # the 8 kHz file sits in the one batch of one process: exit 1 with
+        # read_wav's message, and no output of that batch is written
         paths = [batch_wavs[Mode.MDKM][0], str(wavs / "slow.wav"), batch_wavs[Mode.MDKM][1]]
         assert len(modkalm.cli._batches(paths, 1)) == 1
-        rc = main(["enhance", "--mode", "mdkm", *paths, "-o", str(tmp_path)])
+        rc = main(["enhance", "--mode", "mdkm", *paths, "-o", str(tmp_path),
+                   "--workers", "1"])
         assert rc == 1
         err = capsys.readouterr().err
         assert err == f"error: {wavs / 'slow.wav'}: sample rate 8000 != expected 16000\n"
         assert list(tmp_path.iterdir()) == []
+
+
+class InlineExecutor(concurrent.futures.Executor):
+    """Stands in for the process pool: records the pool size asked for and
+    runs each job at submit, in this process, so nothing is started."""
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as err:
+            future.set_exception(err)
+        return future
+
+
+def process_bytes(batches, workers: int) -> list:
+    """Bytes each of ``workers`` processes runs when the first one free
+    takes the next batch, each batch taking time in proportion to its
+    bytes."""
+    loads = [0] * workers
+    for batch in batches:
+        loads[loads.index(min(loads))] += sum(os.path.getsize(p) for p in batch)
+    return loads
+
+
+def failing_job(job):
+    """Job ``bad`` raises at once; the others sleep ``nap`` s, then leave a
+    mark in ``marks``."""
+    index, bad, nap, marks = job
+    if index == bad:
+        raise ValueError(f"job {index} fails")
+    time.sleep(nap)
+    (Path(marks) / str(index)).touch()
+    return index
+
+
+@pytest.fixture
+def not_wav(tmp_path):
+    path = tmp_path / "in" / "text.wav"
+    path.parent.mkdir()
+    path.write_text("plain text, not audio\n")
+    return path
+
+
+class TestWorkers:
+    def test_default_is_the_usable_cores(self, monkeypatch):
+        parse = modkalm.cli._parse_args
+        assert parse(["enhance", "x.wav"]).workers == len(os.sched_getaffinity(0))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+        assert parse(["bench", "x.wav"]).workers == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 7)
+        assert parse(["enhance", "x.wav"]).workers == 7
+
+    @pytest.mark.parametrize("files, flags, sizes", [
+        (2, ["--workers", "5000"], [1]), (3, ["--workers", "2"], [1]),
+        (3, ["--workers", "1"], []), (1, ["--workers", "5000"], [])])
+    def test_pool_forks_one_fewer_than_the_jobs_at_most(self, wavs, tmp_path, capsys,
+                                                          monkeypatch, files, flags, sizes):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(InlineExecutor, "sizes", [])
+        paths = [str(wavs / "in.wav"), str(wavs / "second.wav"), str(wavs / "noise_long.wav")]
+        assert main(["enhance", "--mode", "logmmse", *paths[:files], "-o", str(tmp_path),
+                     *flags]) == 0
+        assert InlineExecutor.sizes == sizes
+        assert len(capsys.readouterr().out.splitlines()) == files
+
+    @pytest.mark.parametrize("files, workers", [
+        (12, 1), (12, 2), (12, 3), (12, 4), (6, 3), (8, 2), (16, 4), (24, 2), (24, 3)])
+    def test_equal_files_give_equal_bytes_per_process(self, tmp_path, files, workers):
+        path = tmp_path / "half.wav"
+        write_wav(path, np.zeros(RATE // 2), RATE)
+        batches = modkalm.cli._batches([str(path)] * files, workers)
+        assert len(batches) % workers == 0
+        loads = process_bytes(batches, workers)
+        assert loads == [loads[0]] * workers
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_mixed_lengths_keep_each_process_within_a_file_of_its_share(self, tmp_path,
+                                                                       seed):
+        rng = np.random.default_rng(seed)
+        workers = 2 + seed % 3
+        sizes = [44 + 2 * int(RATE * s) for s in rng.uniform(0.3, 2.0, 6 + 3 * seed)]
+        paths = []
+        for i, size in enumerate(sizes):
+            paths.append(str(tmp_path / f"{i}.wav"))
+            Path(paths[-1]).write_bytes(bytes(size))
+        batches = modkalm.cli._batches(paths, workers)
+        assert sum(batches, []) == paths
+        assert all(len(b) == 1 or sum(os.path.getsize(p) for p in b)
+                   <= modkalm.cli.BATCH_BYTES for b in batches)
+        share = sum(sizes) / workers
+        assert all(abs(n - share) <= max(sizes)
+                   for n in process_bytes(batches, workers))
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("bad_first", [True, False], ids=["bad-first", "bad-second"])
+    def test_non_wav_exits_1_naming_it_in_either_share(self, wavs, not_wav, tmp_path,
+                                                       capsys, workers, bad_first):
+        # with two processes the forked one takes the first file and this
+        # one the second, so the error is raised in each share in turn
+        good = str(wavs / "in.wav")
+        paths = [str(not_wav), good] if bad_first else [good, str(not_wav)]
+        rc = main(["enhance", "--mode", "logmmse", *paths, "-o", str(tmp_path / "out"),
+                   "--workers", workers])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {not_wav}: not a WAV file (file does not start with RIFF id)\n")
+        assert multiprocessing.active_children() == []
+        written = sorted(p.name for p in (tmp_path / "out").iterdir())
+        # the good file ran, or was running, when the bad one failed, unless
+        # it comes after the bad one in a single process
+        assert written == ([] if bad_first and workers == "1" else ["in.enhanced.wav"])
+
+    def test_first_failing_file_in_input_order_is_reported(self, wavs, not_wav,
+                                                           tmp_path, capsys):
+        # both fail at once, the second here and the first in the started
+        # process, whose error comes back later through the pool
+        rc = main(["enhance", "--mode", "logmmse", str(wavs / "slow.wav"), str(not_wav),
+                   "-o", str(tmp_path / "out"), "--workers", "2"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {wavs / 'slow.wav'}: sample rate 8000 != expected 16000\n"
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("bad", [0, 1], ids=["in-worker", "in-caller"])
+    def test_jobs_not_started_are_cancelled(self, tmp_path, bad):
+        # job 0 goes to the forked process and job 1 to this one; the other
+        # one of the two runs 0.5 s, long after the bad one has failed
+        jobs = [(i, bad, 0.5, str(tmp_path)) for i in range(6)]
+        with pytest.raises(ValueError, match=f"job {bad} fails"):
+            modkalm.cli._run_jobs(failing_job, jobs, 2)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [str(1 - bad)]
+        assert multiprocessing.active_children() == []
+
+    def test_no_process_is_left_after_a_run(self, wavs, tmp_path):
+        jobs = [(i, -1, 0.0, str(tmp_path)) for i in range(5)]
+        assert modkalm.cli._run_jobs(failing_job, jobs, 3) == list(range(5))
+        assert multiprocessing.active_children() == []
+        assert main(["enhance", "--mode", "logmmse", str(wavs / "in.wav"),
+                     str(wavs / "second.wav"), "-o", str(tmp_path / "out"),
+                     "--workers", "2"]) == 0
+        assert multiprocessing.active_children() == []
 
 
 class TestBenchCommand:

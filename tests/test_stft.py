@@ -175,6 +175,14 @@ class TestWavIo:
         with pytest.raises(ValueError, match="mono"):
             read_wav(path)
 
+    @pytest.mark.parametrize("content, why", [
+        (b"", "too short"), (b"plain text, not audio\n", "does not start with RIFF id")])
+    def test_not_a_wav_is_a_value_error_naming_the_path(self, tmp_path, content, why):
+        path = tmp_path / "text.wav"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=f"^{path}: not a WAV file .*{why}"):
+            read_wav(path)
+
     def test_rate_mismatch(self, tmp_path):
         path = tmp_path / "slow.wav"
         write_wav(path, np.zeros(100), 8000)
