@@ -6,8 +6,8 @@ Two subcommands:
     Enhance one or more mono 16-bit WAV files and write
     ``<stem>.enhanced.wav`` next to ``-o``, printing the per-file
     clamp/fault counters.  In ``mdkm`` mode consecutive files go to the
-    enhancer in batches of up to ``BATCH_BYTES`` of WAV, as many as a
-    multiple of the process count and of balanced bytes; a batch's Kalman
+    enhancer in batches of balanced bytes, up to ``BATCH_BYTES`` of WAV
+    each and as many as a multiple of the process count; a batch's Kalman
     stages run as one (:func:`modkalm.enhancer.diagnose_batch`), and each
     file's output and counters are those of a run on that file alone.  The
     other modes take one file per job.
@@ -240,7 +240,7 @@ def _batches(paths, workers: int) -> list[list[str]]:
     each within a file's bytes of a share."""
     sizes = [os.path.getsize(path) for path in paths]
     total = sum(sizes) or 1
-    count = workers * max(1, -(-total // (workers * BATCH_BYTES)))
+    count = workers * -(-total // (workers * BATCH_BYTES))
     while True:
         batches, used, start, last = [], [], 0, None
         for path, size in zip(paths, sizes):

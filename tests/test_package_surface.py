@@ -3,8 +3,9 @@
 
 The run below uses only public entry points: ``diagnose`` in each mode,
 ``enhance`` once, and ``modkalm.cli.main`` for ``enhance`` (with a
-``--config`` file) and for ``bench``.  It is recorded with
-``sys.setprofile``.  A function that none of them enters is reached only
+``--config`` file, on two processes) and for ``bench``.  It is recorded
+with ``sys.setprofile``, and ``threading.setprofile`` for the threads that
+the command starts to feed its second process.  A function that none of them enters is reached only
 from the tests, so it belongs under ``tests/`` or nowhere.
 """
 import importlib
@@ -14,6 +15,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import threading
 import types
 from pathlib import Path
 
@@ -86,13 +88,14 @@ def _use_the_package(tmp_path) -> None:
     enhance(x, RATE, EnhancerConfig(mode=Mode.MDKM))
 
     write_wav(tmp_path / "a.wav", _speech_in_noise(0.3, 1), RATE)
+    write_wav(tmp_path / "b.wav", _speech_in_noise(0.3, 3), RATE)
     write_wav(tmp_path / "noise.wav", np.random.default_rng(2).standard_normal(6000) * 0.1,
               RATE)
     config = tmp_path / "run.cfg"
     config.write_text("mode = mdkm\nworkers = 1\n")
     out = tmp_path / "out"
     assert modkalm.cli.main(["enhance", "--config", str(config), str(tmp_path / "a.wav"),
-                             "-o", str(out), "--workers", "1"]) == 0
+                             str(tmp_path / "b.wav"), "-o", str(out), "--workers", "2"]) == 0
     assert modkalm.cli.main(["bench", str(tmp_path / "a.wav"), "--noise",
                              str(tmp_path / "noise.wav"), "--mode", "logmmse",
                              "--snr", "0", "-o", str(out), "--workers", "1"]) == 0
@@ -107,10 +110,12 @@ def test_every_package_function_runs_in_real_use(tmp_path, capsys):
             entered.add(frame.f_code)
 
     sys.setprofile(profile)
+    threading.setprofile(profile)
     try:
         _use_the_package(tmp_path)
     finally:
         sys.setprofile(None)
+        threading.setprofile(None)
     capsys.readouterr()
 
     unreached = sorted(name for name, code in functions.items()
