@@ -6,9 +6,9 @@ Two subcommands:
     Enhance one or more mono 16-bit WAV files and write
     ``<stem>.enhanced.wav`` next to ``-o``, printing the per-file
     clamp/fault counters.  In ``mdkm`` mode consecutive files go to the
-    enhancer in batches of balanced bytes, up to ``BATCH_BYTES`` of WAV
-    each and as many as a multiple of the process count; a batch's Kalman
-    stages run as one (:func:`modkalm.enhancer.diagnose_batch`), and each
+    enhancer in batches of up to ``BATCH_BYTES`` of WAV each, cut so that
+    every process runs about the same bytes; a batch's Kalman stages run
+    as one (:func:`modkalm.enhancer.diagnose_batch`), and each
     file's output and counters are those of a run on that file alone.  The
     other modes take one file per job.
 
@@ -17,19 +17,16 @@ Two subcommands:
     requested enhancers, and write a segmental-SNR CSV plus a JSON bundle
     of per-run diagnostics.
 
-The argument parser is the one declaration of the options; ``--mode`` is
-the one enhancer setting, since the framing and model orders are fixed at
-the paper's operating point.  A ``key = value`` config file (``--config``)
-sets flags by their dest names (``out_dir``, ``workers``, ``noise``, ...),
-each value parsed as that flag parses it; keys that only the other
-subcommand has are ignored, and a flag given on the command line replaces
-the file's value.
+The flags are the one declaration of a run's settings; ``--mode`` is the
+one enhancer setting, since the framing and model orders are fixed at the
+paper's operating point.
 
 Both run their jobs on ``--workers`` processes, by default one per usable
 core: this process takes jobs itself beside ``--workers - 1`` ones started
 for the call, whichever is free taking the next job in input order.
 
-Exit codes: 0 success, 1 runtime failure (I/O, bad audio), 2 usage error.
+Exit codes: 0 success, 1 runtime failure (I/O, bad audio, a process that
+ended abruptly), 2 usage error (bad flags, inputs that share an output).
 ``MODKALM_LOG`` sets the log level (default WARNING).
 """
 from __future__ import annotations
@@ -67,7 +64,8 @@ BATCH_BYTES = 2 ** 16
 
 
 class UsageError(ValueError):
-    """Bad flag/config combination: report and exit 2."""
+    """A bad flag value, or inputs that would share an output: report and
+    exit 2."""
 
 
 def _usable_cores() -> int:
@@ -81,15 +79,12 @@ def _usable_cores() -> int:
 
 def _add_shared(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("-o", "--out-dir", default=".", help="output directory")
-    ap.add_argument("--config", metavar="FILE",
-                    help="key = value file setting flags by dest name; "
-                         "flags given here replace its values")
     ap.add_argument("--workers", type=int, default=_usable_cores(),
                     help="processes running the files' jobs, this one "
                          "included (default: the usable cores, %(default)s)")
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="modkalm",
         description="Modulation-domain Kalman speech enhancement.")
@@ -105,8 +100,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     bench = sub.add_parser("bench", help="mix, enhance, and score")
     bench.add_argument("inputs", nargs="+", metavar="CLEAN",
                        help="clean reference files or globs")
-    bench.add_argument("--noise", help="noise WAV to mix in (required; may come "
-                       "from --config)")
+    bench.add_argument("--noise", required=True, help="noise WAV to mix in")
     bench.add_argument("--snr", nargs="+", type=float, default=[0.0],
                        metavar="DB", help="global SNRs to test")
     bench.add_argument("--mode", action="append", choices=modes,
@@ -115,56 +109,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     bench.add_argument("--seed", type=int, default=0,
                        help="seed for the noise excerpt's alignment")
     _add_shared(bench)
-    return parser, {"enhance": enh, "bench": bench}
-
-
-def _load_config(path: str, subparsers: dict) -> dict:
-    """Per subcommand, a namespace of the values the file sets.  Each line
-    goes through the flag of that dest as if given on the command line."""
-    flags = {name: {a.dest: a for a in sp._actions
-                    if a.option_strings and a.dest not in ("help", "config")}
-             for name, sp in subparsers.items()}
-    values = {name: argparse.Namespace() for name in subparsers}
-    try:
-        text = Path(path).read_text()
-    except OSError as err:
-        raise UsageError(f"cannot read config file: {err}") from err
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip().replace("-", "_")
-        owners = [name for name in subparsers if key in flags[name]]
-        if not owners:
-            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-        for name in owners:
-            sp, action = subparsers[name], flags[name][key]
-            tokens = value.split() if action.nargs == "+" else [value.strip()]
-            if not tokens:
-                raise UsageError(f"{path}:{lineno}: {key} needs a value")
-            try:
-                action(sp, values[name], sp._get_values(action, tokens))
-            except argparse.ArgumentError as err:
-                raise UsageError(f"{path}:{lineno}: {err}") from err
-    return values
-
-
-def _parse_args(argv) -> argparse.Namespace:
-    """The flags given, over the --config file's values, over the flags'
-    defaults."""
-    parser, subparsers = _build_parser()
-    ns = parser.parse_args(argv)
-    if ns.config is None:
-        return ns
-    from_file = _load_config(ns.config, subparsers)[ns.command]
-    # parsed again without defaults, the namespace holds only the flags given
-    for action in subparsers[ns.command]._actions:
-        action.default = argparse.SUPPRESS
-    given = parser.parse_args(argv)
-    return argparse.Namespace(**{**vars(ns), **vars(from_file), **vars(given)})
+    return parser
 
 
 def _expand(patterns) -> list[str]:
@@ -178,10 +123,6 @@ def _expand(patterns) -> list[str]:
         else:
             raise FileNotFoundError(f"no input matches {pat!r}")
     return paths
-
-
-def _counters_text(counters: dict) -> str:
-    return " ".join(f"{k}={v}" for k, v in sorted(counters.items()))
 
 
 def _run_jobs(fn, jobs, workers: int) -> list:
@@ -231,30 +172,39 @@ def _run_jobs(fn, jobs, workers: int) -> list:
 
 
 def _batches(paths, workers: int) -> list[list[str]]:
-    """``paths`` cut into consecutive batches where their cumulative bytes
-    cross the bounds of ``count`` equal shares: a file goes to the share
-    that holds its middle byte, and a share holding no middle is no batch.
-    ``count`` is the least multiple of ``workers``, from the first whose
-    shares fit in ``BATCH_BYTES``, at which every batch of two or more files
-    fits there too, so each process gets as many batches as the others,
-    each within a file's bytes of a share."""
+    """``paths`` cut into consecutive batches in the order the processes
+    take them, time counted in bytes: the first process free (the one with
+    the fewest bytes run) takes the next batch.  The batch takes files while
+    their middle byte stays within that process's next multiple of
+    ``total / count`` bytes or, if further, within an equal part of the
+    bytes left over the batches left, so the last of ``count`` batches takes
+    what remains.  ``count`` is the least multiple of ``workers``, from the
+    first whose shares fit in ``BATCH_BYTES``, at which every batch of two
+    or more files fits there too."""
     sizes = [os.path.getsize(path) for path in paths]
     total = sum(sizes) or 1
     count = workers * -(-total // (workers * BATCH_BYTES))
     while True:
-        batches, used, start, last = [], [], 0, None
+        loads, taken, batches, used, rest = [0] * workers, [0] * workers, [], [], total
         for path, size in zip(paths, sizes):
-            share = (2 * start + size) * count // (2 * total)
-            if share != last:
+            if not batches or 2 * loads[p] + size > 2 * goal:
+                p = loads.index(min(loads))
+                taken[p] += 1
+                goal = max(taken[p] * total / count,
+                           loads[p] + rest / (count - len(batches)))
                 batches.append([])
                 used.append(0)
-                last = share
             batches[-1].append(path)
             used[-1] += size
-            start += size
+            loads[p] += size
+            rest -= size
         if all(n <= BATCH_BYTES or len(b) == 1 for b, n in zip(batches, used)):
             return batches
         count += workers
+
+
+def _out_path(out_dir: str, path: str) -> str:
+    return os.path.join(out_dir, Path(path).stem + ".enhanced.wav")
 
 
 def _enhance_files(job: tuple) -> list[str]:
@@ -262,16 +212,22 @@ def _enhance_files(job: tuple) -> list[str]:
     signals = (read_wav(path, expect_rate=SAMPLE_RATE)[0] for path in paths)
     lines = []
     for path, diag in zip(paths, diagnose_batch(signals, SAMPLE_RATE, cfg)):
-        out_path = os.path.join(out_dir, Path(path).stem + ".enhanced.wav")
+        out_path = _out_path(out_dir, path)
         clipped = write_wav(out_path, diag.enhanced, SAMPLE_RATE)
-        counters = dict(diag.counters, saturated=clipped)
-        lines.append(f"{path} -> {out_path}  {_counters_text(counters)}")
+        counters = sorted(dict(diag.counters, saturated=clipped).items())
+        lines.append(f"{path} -> {out_path}  " + " ".join(f"{k}={v}" for k, v in counters))
     return lines
 
 
 def cmd_enhance(ns: argparse.Namespace) -> int:
     cfg = EnhancerConfig(mode=Mode(ns.mode))
     paths = _expand(ns.inputs)
+    writers = {}
+    for path in paths:
+        out_path = _out_path(ns.out_dir, path)
+        if out_path in writers:
+            raise UsageError(f"{writers[out_path]} and {path} would both write {out_path}")
+        writers[out_path] = path
     os.makedirs(ns.out_dir, exist_ok=True)
     # only mdkm's Kalman stage runs faster stacked: logmmse has none, and
     # mdkr spends its time in ring cells taken one at a time, so a batch
@@ -331,20 +287,18 @@ def _bench_one(job: tuple) -> dict:
 
 
 def cmd_bench(ns: argparse.Namespace) -> int:
-    if ns.noise is None:
-        raise UsageError("bench needs --noise (a flag or a config key)")
     if not all(np.isfinite(ns.snr)):
         raise UsageError("SNR values must be finite")
     if ns.seed < 0:
         raise UsageError(f"--seed must be non-negative, got {ns.seed}")
     modes = dict.fromkeys(ns.mode or [m.value for m in Mode])
     configs = {mode: EnhancerConfig(mode=Mode(mode)) for mode in modes}
-    paths = _expand(ns.inputs)
+    paths = dict.fromkeys(_expand(ns.inputs))
     _expand([ns.noise])
     os.makedirs(ns.out_dir, exist_ok=True)
 
     jobs = [(p, ns.noise, snr, mode, configs[mode], ns.seed)
-            for p in paths for snr in ns.snr for mode in modes]
+            for p in paths for snr in dict.fromkeys(ns.snr) for mode in modes]
     results = _run_jobs(_bench_one, jobs, ns.workers)
 
     csv_path = os.path.join(ns.out_dir, "bench.csv")
@@ -374,7 +328,7 @@ def main(argv=None) -> int:
     logging.getLogger("modkalm").setLevel(level)
 
     try:
-        ns = _parse_args(argv)
+        ns = _build_parser().parse_args(argv)
         log.debug("parsed options: %s", vars(ns))
         if ns.workers < 1:
             raise UsageError("--workers must be at least 1")
@@ -386,6 +340,9 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except concurrent.futures.BrokenExecutor:
+        print("error: a worker process ended abruptly", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

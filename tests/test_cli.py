@@ -126,6 +126,31 @@ class TestEnhanceCommand:
         assert "--ring-cap" in capsys.readouterr().err
         assert not (tmp_path / "in.enhanced.wav").exists()
 
+    def test_config_flag_is_gone(self, wavs, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mode = logmmse\n")
+        for argv in (["enhance"], ["bench", "--noise", str(wavs / "noise_long.wav")]):
+            rc = main([*argv, "--config", str(cfg), str(wavs / "in.wav"),
+                       "-o", str(tmp_path / "out")])
+            assert rc == 2
+            assert "unrecognized arguments: --config" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("same_path", [False, True], ids=["same-stem", "same-path"])
+    def test_inputs_sharing_an_output_are_a_usage_error(self, tmp_path, capsys, same_path):
+        # the inputs are not audio, so an input read would fail with exit 1
+        for sub in ("x", "y"):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "a.wav").write_text("not audio\n")
+        first, second = str(tmp_path / "x" / "a.wav"), str(tmp_path / "y" / "a.wav")
+        inputs = [str(tmp_path / "x" / "*.wav"), first] if same_path else [first, second]
+        rc = main(["enhance", *inputs, "-o", str(tmp_path / "out"), "--workers", "2"])
+        assert rc == 2
+        shared = tmp_path / "out" / "a.enhanced.wav"
+        assert capsys.readouterr().err == (
+            f"error: {first} and {first if same_path else second} would both write {shared}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_input_is_runtime_error(self, tmp_path, capsys):
         rc = main(["enhance", str(tmp_path / "absent.wav"), "-o", str(tmp_path)])
         assert rc == 1
@@ -209,7 +234,7 @@ class TestEnhanceBatches:
         assert sizes == (batched if mode is Mode.MDKM else [1] * len(paths))
 
     @pytest.mark.parametrize("files, workers, sizes", [
-        (9, 1, [3, 3, 3]), (4, 4, [1, 1, 1, 1]), (12, 4, [3, 3, 3, 3]), (5, 2, [2, 3]),
+        (9, 1, [3, 3, 3]), (4, 4, [1, 1, 1, 1]), (12, 4, [3, 3, 3, 3]), (5, 2, [3, 2]),
         (2, 4, [1, 1]), (12, 2, [3, 3, 3, 3]), (4, 1, [4])])
     def test_budget_takes_four_half_second_files_and_every_worker_a_batch(
             self, tmp_path, files, workers, sizes):
@@ -270,6 +295,17 @@ def failing_job(job):
     return index
 
 
+CALLER = os.getpid()
+
+
+def dies_in_a_started_process(job):
+    """Stands in for ``cli._enhance_files``: a process started for the run
+    ends at once, with no cleanup; the calling process runs its job."""
+    if os.getpid() != CALLER:
+        os._exit(3)
+    return []
+
+
 @pytest.fixture
 def not_wav(tmp_path):
     path = tmp_path / "in" / "text.wav"
@@ -280,10 +316,11 @@ def not_wav(tmp_path):
 
 class TestWorkers:
     def test_default_is_the_usable_cores(self, monkeypatch):
-        parse = modkalm.cli._parse_args
+        def parse(argv):
+            return modkalm.cli._build_parser().parse_args(argv)
         assert parse(["enhance", "x.wav"]).workers == len(os.sched_getaffinity(0))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
-        assert parse(["bench", "x.wav"]).workers == 3
+        assert parse(["bench", "x.wav", "--noise", "n.wav"]).workers == 3
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 7)
         assert parse(["enhance", "x.wav"]).workers == 7
@@ -310,6 +347,16 @@ class TestWorkers:
         assert len(batches) % workers == 0
         loads = process_bytes(batches, workers)
         assert loads == [loads[0]] * workers
+
+    def test_busiest_process_runs_at_most_its_share_of_equal_files(self, tmp_path):
+        path = tmp_path / "half.wav"
+        write_wav(path, np.zeros(RATE // 2), RATE)
+        size = os.path.getsize(path)
+        for files in range(1, 41):
+            for workers in range(1, 9):
+                batches = modkalm.cli._batches([str(path)] * files, workers)
+                busiest = max(process_bytes(batches, workers)) // size
+                assert busiest <= -(-files // workers), (files, workers)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_mixed_lengths_keep_each_process_within_a_file_of_its_share(self, tmp_path,
@@ -369,6 +416,14 @@ class TestWorkers:
         assert sorted(p.name for p in tmp_path.iterdir()) == [str(1 - bad)]
         assert multiprocessing.active_children() == []
 
+    def test_a_worker_that_dies_fails_the_run(self, wavs, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(modkalm.cli, "_enhance_files", dies_in_a_started_process)
+        rc = main(["enhance", "--mode", "logmmse", str(wavs / "in.wav"),
+                   str(wavs / "second.wav"), "-o", str(tmp_path), "--workers", "2"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: a worker process ended abruptly\n"
+        assert multiprocessing.active_children() == []
+
     def test_no_process_is_left_after_a_run(self, wavs, tmp_path):
         jobs = [(i, -1, 0.0, str(tmp_path)) for i in range(5)]
         assert modkalm.cli._run_jobs(failing_job, jobs, 3) == list(range(5))
@@ -419,6 +474,17 @@ class TestBenchCommand:
         serial = (tmp_path / "s" / "bench.csv").read_bytes()
         assert serial == (tmp_path / "p" / "bench.csv").read_bytes()
 
+    def test_repeated_snr_or_clean_file_runs_once(self, wavs, tmp_path):
+        clean = str(wavs / "in.wav")
+        assert main(["bench", clean, clean, "--noise", str(wavs / "noise_long.wav"),
+                     "--snr", "0", "5", "0", "--mode", "logmmse", "-o", str(tmp_path)]) == 0
+        rows = (tmp_path / "bench.csv").read_text().strip().splitlines()[1:]
+        keys = [f"{f}|{mode}|{float(snr):g}" for f, mode, snr, _ in
+                (row.split(",") for row in rows)]
+        bundle = json.loads((tmp_path / "bench_diagnostics.json").read_text())
+        assert keys == [f"{clean}|logmmse|0", f"{clean}|logmmse|5"]
+        assert sorted(keys) == sorted(bundle)
+
     def test_short_noise_tiles_with_warning(self, wavs, tmp_path, caplog):
         with caplog.at_level(logging.WARNING, logger="modkalm.cli"):
             rc = main(["bench", str(wavs / "in.wav"),
@@ -462,104 +528,6 @@ class TestMixing:
     def test_silent_noise_rejected(self):
         with pytest.raises(ValueError):
             _mix_at_snr(burst_tone(), np.zeros(20000), 0.0)
-
-
-class TestConfigFile:
-    def test_file_supplies_defaults(self, wavs, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("# defaults for this batch\nmode = logmmse\n")
-        assert main(["enhance", str(wavs / "in.wav"), "--config", str(cfg),
-                     "-o", str(tmp_path / "a")]) == 0
-        assert main(["enhance", "--mode", "logmmse", str(wavs / "in.wav"),
-                     "-o", str(tmp_path / "b")]) == 0
-        a = (tmp_path / "a" / "in.enhanced.wav").read_bytes()
-        assert a == (tmp_path / "b" / "in.enhanced.wav").read_bytes()
-
-    def test_flag_beats_file(self, wavs, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("mode = mdkm\n")
-        assert main(["enhance", "--mode", "logmmse", str(wavs / "in.wav"),
-                     "--config", str(cfg), "-o", str(tmp_path / "a")]) == 0
-        assert main(["enhance", "--mode", "logmmse", str(wavs / "in.wav"),
-                     "-o", str(tmp_path / "b")]) == 0
-        a = (tmp_path / "a" / "in.enhanced.wav").read_bytes()
-        assert a == (tmp_path / "b" / "in.enhanced.wav").read_bytes()
-
-    def test_unknown_key_is_usage_error(self, wavs, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("gain = 3\n")
-        rc = main(["enhance", str(wavs / "in.wav"), "--config", str(cfg),
-                   "-o", str(tmp_path)])
-        assert rc == 2
-        assert "gain" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("key", ["p", "q", "frame_ms", "inc_ms", "mod_frame_ms"])
-    def test_framing_and_order_keys_are_unknown(self, wavs, tmp_path, capsys, key):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{key} = 4\n")
-        rc = main(["enhance", str(wavs / "in.wav"), "--config", str(cfg),
-                   "-o", str(tmp_path)])
-        assert rc == 2
-        assert f"unknown key {key!r}" in capsys.readouterr().err
-        assert not (tmp_path / "in.enhanced.wav").exists()
-
-    def test_ring_cap_key_is_unknown(self, wavs, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("ring_cap = 32\n")
-        rc = main(["enhance", str(wavs / "in.wav"), "--config", str(cfg),
-                   "-o", str(tmp_path)])
-        assert rc == 2
-        assert "unknown key 'ring_cap'" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("lines, flags, modes", [
-        ("mode = mdkm\n", ["--mode", "logmmse"], ["logmmse"]),
-        ("mode = logmmse\n", [], ["logmmse"]),
-        ("mode = logmmse\nmode = mdkm\n", [], ["logmmse", "mdkm"]),
-    ], ids=["flag-replaces-file", "file-only", "repeated-key"])
-    def test_bench_modes_from_file_and_flags(self, wavs, tmp_path, lines, flags, modes):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(lines)
-        assert main(["bench", str(wavs / "in.wav"), "--noise", str(wavs / "noise_long.wav"),
-                     "--config", str(cfg), *flags, "-o", str(tmp_path)]) == 0
-        rows = (tmp_path / "bench.csv").read_text().strip().splitlines()[1:]
-        assert [row.split(",")[1] for row in rows] == modes
-
-    def test_noise_from_file(self, wavs, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"noise = {wavs / 'noise_long.wav'}\nsnr = 0 5\nmode = logmmse\n")
-        assert main(["bench", str(wavs / "in.wav"), "--config", str(cfg),
-                     "-o", str(tmp_path / "a")]) == 0
-        assert main(["bench", str(wavs / "in.wav"), "--noise", str(wavs / "noise_long.wav"),
-                     "--snr", "0", "5", "--mode", "logmmse", "-o", str(tmp_path / "b")]) == 0
-        a = (tmp_path / "a" / "bench.csv").read_bytes()
-        assert a == (tmp_path / "b" / "bench.csv").read_bytes()
-        # keys that only bench has are ignored by enhance, so one file serves both
-        assert main(["enhance", str(wavs / "in.wav"), "--config", str(cfg),
-                     "-o", str(tmp_path / "c")]) == 0
-
-    def test_seed_key_is_ignored_by_enhance(self, wavs, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("seed = 3\nmode = logmmse\n")
-        assert main(["enhance", str(wavs / "in.wav"), "--config", str(cfg),
-                     "-o", str(tmp_path / "a")]) == 0
-        assert main(["enhance", "--mode", "logmmse", str(wavs / "in.wav"),
-                     "-o", str(tmp_path / "b")]) == 0
-        a = (tmp_path / "a" / "in.enhanced.wav").read_bytes()
-        assert a == (tmp_path / "b" / "in.enhanced.wav").read_bytes()
-
-    @pytest.mark.parametrize("line, flag", [
-        ("mode = wiener", "--mode"), ("mode = MDKM", "--mode"), ("workers = x", "--workers"),
-        ("snr = 0 abc", "--snr"), ("snr =", "snr"),
-    ], ids=["unknown-mode", "upper-case-mode", "p-not-int", "snr-not-float", "snr-empty"])
-    def test_bad_value_names_file_and_line(self, wavs, tmp_path, capsys, line, flag):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"# batch defaults\n{line}\n")
-        rc = main(["bench", str(wavs / "in.wav"), "--noise", str(wavs / "noise_long.wav"),
-                   "--config", str(cfg), "-o", str(tmp_path)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert f"{cfg}:2:" in err and flag in err
-        assert not (tmp_path / "bench.csv").exists()
 
 
 class TestLogging:

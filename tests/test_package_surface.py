@@ -2,12 +2,13 @@
 ``src/modkalm`` defines must run when the package is used as shipped.
 
 The run below uses only public entry points: ``diagnose`` in each mode,
-``enhance`` once, and ``modkalm.cli.main`` for ``enhance`` (with a
-``--config`` file, on two processes) and for ``bench``.  It is recorded
-with ``sys.setprofile``, and ``threading.setprofile`` for the threads that
-the command starts to feed its second process.  A function that none of them enters is reached only
+``enhance`` once, and ``modkalm.cli.main`` for ``enhance`` (on two
+processes) and for ``bench``.  It is recorded with ``sys.setprofile``, and
+``threading.setprofile`` for the threads that the command starts to feed
+its second process.  A function that none of them enters is reached only
 from the tests, so it belongs under ``tests/`` or nowhere.
 """
+import argparse
 import importlib
 import inspect
 import dataclasses
@@ -91,10 +92,8 @@ def _use_the_package(tmp_path) -> None:
     write_wav(tmp_path / "b.wav", _speech_in_noise(0.3, 3), RATE)
     write_wav(tmp_path / "noise.wav", np.random.default_rng(2).standard_normal(6000) * 0.1,
               RATE)
-    config = tmp_path / "run.cfg"
-    config.write_text("mode = mdkm\nworkers = 1\n")
     out = tmp_path / "out"
-    assert modkalm.cli.main(["enhance", "--config", str(config), str(tmp_path / "a.wav"),
+    assert modkalm.cli.main(["enhance", "--mode", "mdkm", str(tmp_path / "a.wav"),
                              str(tmp_path / "b.wav"), "-o", str(out), "--workers", "2"]) == 0
     assert modkalm.cli.main(["bench", str(tmp_path / "a.wav"), "--noise",
                              str(tmp_path / "noise.wav"), "--mode", "logmmse",
@@ -131,12 +130,13 @@ def test_settable_surface_is_this_list():
     # the framing and model orders are constants; a new knob is added here
     # on purpose or not at all
     assert {f.name for f in dataclasses.fields(EnhancerConfig)} == {"mode"}
-    _, subparsers = modkalm.cli._build_parser()
+    [subparsers] = [a.choices for a in modkalm.cli._build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)]
     dests = {name: {a.dest for a in sp._actions if a.option_strings and a.dest != "help"}
              for name, sp in subparsers.items()}
     assert dests == {
-        "enhance": {"mode", "out_dir", "config", "workers"},
-        "bench": {"noise", "snr", "mode", "seed", "out_dir", "config", "workers"},
+        "enhance": {"mode", "out_dir", "workers"},
+        "bench": {"noise", "snr", "mode", "seed", "out_dir", "workers"},
     }
 
 
