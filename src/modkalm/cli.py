@@ -301,19 +301,19 @@ def cmd_bench(ns: argparse.Namespace) -> int:
             for p in paths for snr in dict.fromkeys(ns.snr) for mode in modes]
     results = _run_jobs(_bench_one, jobs, ns.workers)
 
+    # a JSON entry is keyed by its CSV row's file, enhancer and SNR text
     csv_path = os.path.join(ns.out_dir, "bench.csv")
+    bundle = {}
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["file", "enhancer", "snr_db", "segsnr_db"])
         for res in results:
             row = res["row"]
-            writer.writerow([row["file"], row["enhancer"],
-                             repr(float(row["snr_db"])),
-                             repr(float(row["segsnr_db"]))])
+            key = [row["file"], row["enhancer"], repr(float(row["snr_db"]))]
+            writer.writerow(key + [repr(float(row["segsnr_db"]))])
+            bundle["|".join(key)] = res["diag"]
 
     diag_path = os.path.join(ns.out_dir, "bench_diagnostics.json")
-    bundle = {f"{r['row']['file']}|{r['row']['enhancer']}|{r['row']['snr_db']:g}":
-              r["diag"] for r in results}
     with open(diag_path, "w") as fh:
         json.dump(bundle, fh, indent=2, sort_keys=True)
 

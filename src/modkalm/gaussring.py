@@ -31,13 +31,12 @@ _WEIGHT_PRUNE = 1e-12
 @dataclass
 class GaussringModel:
     """Equal-weight circular mixture; ``var`` is the total complex variance
-    E|v − mean|² shared by every component."""
+    E|v − mean|² shared by every component.  G == 1 is the single Gaussian
+    below the Rayleigh gate, whose one mean is the ring's centre."""
 
     G: int
     means: np.ndarray
     var: float
-    center: complex
-    fallback: bool
 
 
 _unit_rings: dict[int, np.ndarray] = {}
@@ -71,10 +70,7 @@ def build_ring(mu, var, center: complex = 0j, cap: int = DEFAULT_RING_CAP,
         raise ValueError("mean must be nonnegative")
     sigma = math.sqrt(var)
     if mu / sigma < RAYLEIGH_GATE:
-        return GaussringModel(
-            G=1, means=np.array([center], dtype=complex), var=mu * mu + var,
-            center=complex(center), fallback=True,
-        )
+        return GaussringModel(G=1, means=np.array([center], dtype=complex), var=mu * mu + var)
     Omega = mu * mu + var
     alpha2 = Omega * math.sqrt(1.0 - 1.0 / (Omega / (4.0 * var)))
     alpha = math.sqrt(alpha2)
@@ -88,8 +84,7 @@ def build_ring(mu, var, center: complex = 0j, cap: int = DEFAULT_RING_CAP,
         delta = max(delta, 2.0 * (half_chord * half_chord))
         tally(counters, "ring_capped")
     means = center + alpha * _unit_ring(G)
-    return GaussringModel(G=G, means=means, var=delta,
-                          center=complex(center), fallback=False)
+    return GaussringModel(G=G, means=means, var=delta)
 
 
 # log(G_speech · G_noise) per product size: minus the log prior weight of

@@ -21,7 +21,7 @@ one cell at a time), so agreement between the two is evidence for both:
   inline.
 - :func:`log_kummer_series` sums the ascending series for log M(a;1;x)
   element by element, each element stopping on its own; the package sums
-  the batch in lock-step (``specfun._log_kummer_series``).
+  the batch in lock-step (``gamma_update._log_kummer_series``).
 - :func:`mdkr_cell`, with its :func:`_product_arrays` and
   :func:`amplitude_moments`, is the ring cell in its plain form: every product component weighted, each reduction a dot
   product, fresh arrays throughout.  ``gaussring.mdkr_cell`` must return

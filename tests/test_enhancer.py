@@ -7,6 +7,7 @@ from scipy.ndimage import uniform_filter1d
 from scipy.signal import lfilter
 
 import modkalm.enhancer as enh
+import modkalm.gamma_update as gamma_update
 from modkalm.enhancer import (Diagnostics, EnhancerConfig, Mode, diagnose, diagnose_batch,
                               enhance)
 from modkalm.gaussring import DEFAULT_RING_CAP
@@ -343,6 +344,30 @@ class TestRingCellCall:
             single.append(info["G_speech"] * info["G_noise"] == 1)
         # the run reaches both sides of the single-component branch
         assert 0 < sum(single) < len(single)
+
+
+class TestKummerCall:
+    def test_kummer_function_runs_once_per_kalman_frame(self, monkeypatch):
+        # perfbench's tracer times the Kummer function by patching
+        # modkalm.gamma_update.kummer_m_log, so the mdkm posterior must look
+        # it up there, once per frame, for the three shapes of every bin
+        real_kummer, real_predict = gamma_update.kummer_m_log, enh.predict
+        shapes, frames = [], []
+
+        def kummer_spy(a, x):
+            shapes.append(np.shape(a))
+            return real_kummer(a, x)
+
+        def predict_spy(state, *args):
+            frames.append(state.a.shape[0])
+            return real_predict(state, *args)
+
+        monkeypatch.setattr(gamma_update, "kummer_m_log", kummer_spy)
+        monkeypatch.setattr(enh, "predict", predict_spy)
+        diagnose(add_white(voiced_babble(5, dur=0.3), 5, 0.0), RATE,
+                 EnhancerConfig(mode=Mode.MDKM))
+        assert len(frames) > 0
+        assert shapes == [(3, rows) for rows in frames]
 
 
 class TestFaultIsolation:

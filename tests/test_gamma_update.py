@@ -1,4 +1,5 @@
 """Tests for the Gamma-prior amplitude posterior."""
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -11,7 +12,6 @@ from modkalm.gamma_update import (
     fit_gamma_prior,
     mdkm_posterior,
 )
-from modkalm.specfun import gamma_half_ratio
 from reference import fit_gamma_shape_brentq
 
 
@@ -105,7 +105,8 @@ class TestFitGammaPrior:
             prior = fit_gamma_prior(mu, var)
             if prior.gamma in (GAMMA_MIN, GAMMA_MAX):
                 continue
-            mean = prior.beta * gamma_half_ratio(prior.gamma)
+            g = float(prior.gamma)
+            mean = prior.beta * float(mpmath.gamma(g + 0.5) / mpmath.gamma(g))
             assert mean == pytest.approx(mu, rel=1e-6)
             assert prior.gamma * prior.beta ** 2 - mean ** 2 == pytest.approx(var, rel=1e-6)
 
@@ -149,6 +150,18 @@ class TestMdkmPosterior:
             mdkm_posterior(GammaPrior(-0.1, 1.0), 1.0, 1.0)
         with pytest.raises(ValueError, match="SNRs must be finite"):
             mdkm_posterior(GammaPrior(1.0, np.inf), 1.0, 1.0)
+
+    def test_shape_outside_the_kummer_box_is_rejected(self):
+        # M(a;1;x) is evaluated up to a = γ + 1, so the box is 0 < γ ≤ 59; a
+        # negative or NaN γ is caught one check earlier, by its SNR
+        for gamma in (0.0, -2.0, 59.5, 1e4, np.nan):
+            with pytest.raises(ValueError):
+                mdkm_posterior(GammaPrior(gamma, 1.0), 1.0, 1.0)
+        for gamma in (0.0, 59.5, 1e4):
+            with pytest.raises(ValueError, match=r"shape must be in \(0, 59\]"):
+                mdkm_posterior(GammaPrior(np.array([1.0, gamma]), 1.0), 1.0, 1.0)
+        mean, var = mdkm_posterior(GammaPrior(59.0, 1.0), 1.0, 1.0)
+        assert np.isfinite(mean) and var > 0
 
     def test_zero_observation(self):
         # y = 0 is the y → 0⁺ limit, a posterior ∝ prior(a)·e^(−a²/ν²) with

@@ -110,7 +110,6 @@ class TestBuildRing:
     def test_concentrated_count(self):
         model = build_ring(10.0, 1.0)
         assert model.G == 32
-        assert not model.fallback
         # centres sit on a circle about the origin
         radii = np.abs(model.means)
         assert np.ptp(radii) < 1e-12
@@ -131,12 +130,12 @@ class TestBuildRing:
         sigma = 1.0
         below = build_ring((RAYLEIGH_GATE - 1e-6) * sigma, sigma ** 2)
         at = build_ring(RAYLEIGH_GATE * sigma, sigma ** 2)
-        assert below.fallback and below.G == 1
-        assert not at.fallback and at.G == int(np.ceil(np.pi * RAYLEIGH_GATE))
+        assert below.G == 1
+        assert at.G == int(np.ceil(np.pi * RAYLEIGH_GATE))
 
     def test_fallback_matches_rayleigh_moments(self):
         model = build_ring(0.1, 1.0)
-        assert model.fallback and model.G == 1
+        assert model.G == 1
         assert model.means[0] == 0j
         assert model.var == pytest.approx(1.01)
         # Rayleigh amplitude implied by that complex variance
@@ -147,8 +146,8 @@ class TestBuildRing:
 
     def test_fallback_keeps_center(self):
         model = build_ring(0.2, 1.0, center=3 - 2j)
-        assert model.means[0] == 3 - 2j
-        assert model.center == 3 - 2j
+        assert model.G == 1
+        assert np.array_equal(model.means, [3 - 2j])
 
     def test_cap_inflates_variance(self):
         counters = {}
@@ -200,8 +199,8 @@ class TestBuildRing:
 
 class TestProductComponents:
     def test_coincident_single_gaussians(self):
-        a = GaussringModel(1, np.array([1 + 1j]), 1.0, 0j, True)
-        b = GaussringModel(1, np.array([1 + 1j]), 1.0, 1 + 1j, True)
+        a = GaussringModel(1, np.array([1 + 1j]), 1.0)
+        b = GaussringModel(1, np.array([1 + 1j]), 1.0)
         w, o, d, _ = _product_arrays(a, b)
         assert len(w) == 1
         assert w[0] == pytest.approx(1.0)
@@ -210,7 +209,7 @@ class TestProductComponents:
 
     def test_uninformative_noise_leaves_speech_ring(self):
         speech = build_ring(5.0, 1.0)
-        noise = GaussringModel(1, np.array([0.7 + 0.2j]), 1e12, 0.7 + 0.2j, True)
+        noise = GaussringModel(1, np.array([0.7 + 0.2j]), 1e12)
         ws, os_, _, _ = _product_arrays(speech, noise)
         assert ws == pytest.approx(np.full(speech.G, 1 / speech.G), rel=1e-6)
         assert np.abs(os_ - speech.means).max() < 1e-6
@@ -234,8 +233,8 @@ class TestProductComponents:
         assert heaviest == ws.max()
 
     def test_total_underflow_warns_and_uniformizes(self):
-        a = GaussringModel(1, np.array([0j]), 1.0, 0j, True)
-        b = GaussringModel(1, np.array([1e200 + 0j]), 1.0, 1e200 + 0j, True)
+        a = GaussringModel(1, np.array([0j]), 1.0)
+        b = GaussringModel(1, np.array([1e200 + 0j]), 1.0)
         with pytest.warns(UserWarning):
             ws, _, _, _ = _product_arrays(a, b)
         assert ws[0] == pytest.approx(1.0)

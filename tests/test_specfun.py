@@ -1,4 +1,5 @@
-"""Tests for the special-function layer.
+"""Tests for the special functions inside ``modkalm.gamma_update``: the
+log-domain Kummer function M(a;1;x) and the half-step ratio Γ(g+½)/Γ(g).
 
 Expected values for the confluent hypergeometric function were frozen from
 an independent extended-precision oracle: the plain ascending series
@@ -15,11 +16,15 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-import modkalm.specfun
-from modkalm.specfun import _STOP_EVERY, _series_switch, gamma_half_ratio, kummer_m_log
+import modkalm.gamma_update
+from modkalm.gamma_update import _STOP_EVERY, _log_half_ratio, _series_switch, kummer_m_log
 from reference import log_kummer_series
 
 mpmath.mp.dps = 40
+
+
+def gamma_half_ratio(g):
+    return np.exp(_log_half_ratio(np.asarray(g, dtype=float)))
 
 
 def series_oracle_log(a, b, x):
@@ -70,28 +75,18 @@ class TestGammaHalfRatio:
 
     def test_matches_extended_precision_up_to_the_kummer_box(self):
         # the log-gamma difference is the only form: it must hold its
-        # accuracy up to g = 60, and larger shapes are refused, as
-        # kummer_m_log refuses a > 60
+        # accuracy up to g = 60, past the largest shape the posterior accepts
         for g in [1e-3, 0.3, 2.5, 17.0, 49.0, 59.5, 60.0]:
             want = float(
                 mpmath.exp(mpmath.loggamma(g + 0.5) - mpmath.loggamma(g))
             )
             assert gamma_half_ratio(g) == pytest.approx(want, rel=5e-11)
-        with pytest.raises(ValueError, match="60"):
-            gamma_half_ratio(60.5)
-        with pytest.raises(ValueError):
-            gamma_half_ratio(1e4)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            gamma_half_ratio(-2.0)
 
 
 class TestKummerM:
     def test_trivial_values(self):
         assert math.exp(kummer_m_log(0.7, 0.0)) == pytest.approx(1.0, abs=1e-15)
         assert kummer_m_log(1.0, 3.0) == pytest.approx(3.0, rel=1e-12)
-        assert math.exp(kummer_m_log(0.0, 50.0)) == pytest.approx(1.0, abs=1e-14)
 
     def test_sign_is_positive(self):
         # M(a;1;x) >= 1 > 0 for a, x >= 0, so its log is never negative
@@ -141,7 +136,7 @@ class TestKummerM:
             assert abs(lhs - rhs) <= 1e-6 * max(1.0, abs(lhs))
 
     def test_vectorized_matches_scalar(self):
-        # each element of a mixed batch (both routes, and a = 0) equals the
+        # each element of a mixed batch (both routes) equals the
         # same argument evaluated as a batch of one
         a = np.array([0.5, 3.3, 12.0, 49.0])
         x = np.array([0.0, 10.0, 200.0, 4000.0])
@@ -193,10 +188,10 @@ class TestKummerM:
         assert np.array_equal(kummer_m_log(a, x), want)
 
     def test_batch_independent_bitwise_at_b_one(self):
-        # an element of a mixed batch (both routes, a = 0, the rescale) has
-        # the bits it has alone
-        a = np.array([0.0, 1e-3, 0.5, 3.3, 12.0, 49.0, 49.0, 20.0])
-        x = np.array([50.0, 0.2, 0.0, 10.0, 200.0, 5000.0, 6000.0, 1e6])
+        # an element of a mixed batch (both routes, the rescale) has the
+        # bits it has alone
+        a = np.array([1e-3, 0.5, 3.3, 12.0, 49.0, 49.0, 20.0])
+        x = np.array([0.2, 0.0, 10.0, 200.0, 5000.0, 6000.0, 1e6])
         vec = kummer_m_log(a, x)
         for i in range(a.size):
             assert np.array_equal(vec[i], kummer_m_log(a[i], x[i]))
@@ -206,7 +201,7 @@ class TestKummerM:
         """``kummer_m_log(a, x)`` and the (pass, element) of every rescale
         in ``_log_kummer_series``, seen by a line trace of its rescale
         statement: the pass is the loop's k + 1, the elements its ``big``."""
-        code = modkalm.specfun._log_kummer_series.__code__
+        code = modkalm.gamma_update._log_kummer_series.__code__
         lines, first = inspect.getsourcelines(code)
         (line,) = [first + i for i, text in enumerate(lines) if "shift[big] +=" in text]
         seen = []
@@ -262,11 +257,3 @@ class TestKummerM:
         _, seen = self.package_rescales(a, x)
         assert seen == sorted(want)
         assert seen[0] == (self.first_rescale_pass(49.0, x[0]), 0)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            kummer_m_log(-0.5, 1.0)
-        with pytest.raises(ValueError):
-            kummer_m_log(0.5, -1.0)
-        with pytest.raises(ValueError):
-            kummer_m_log(500.0, 1.0)
