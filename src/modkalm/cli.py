@@ -185,9 +185,14 @@ def _batches(paths, workers: int) -> list[list[str]]:
     total = sum(sizes) or 1
     count = workers * -(-total // (workers * BATCH_BYTES))
     while True:
-        loads, taken, batches, used, rest = [0] * workers, [0] * workers, [], [], total
+        # an entry per process that took a batch; one that took none comes
+        # after them with 0 bytes, so it is first free unless one ran 0 bytes
+        loads, taken, batches, used, rest = [], [], [], [], total
         for path, size in zip(paths, sizes):
             if not batches or 2 * loads[p] + size > 2 * goal:
+                if len(loads) < workers and 0 not in loads:
+                    loads.append(0)
+                    taken.append(0)
                 p = loads.index(min(loads))
                 taken[p] += 1
                 goal = max(taken[p] * total / count,
@@ -209,9 +214,23 @@ def _out_path(out_dir: str, path: str) -> str:
 
 def _enhance_files(job: tuple) -> list[str]:
     paths, cfg, out_dir = job
-    signals = (read_wav(path, expect_rate=SAMPLE_RATE)[0] for path in paths)
+    member = None  # the file the enhancer took last; read_wav's errors name theirs
+
+    def signals():
+        nonlocal member
+        for path in paths:
+            member = None
+            samples = read_wav(path, expect_rate=SAMPLE_RATE)[0]
+            member = path
+            yield samples
+    try:
+        diags = diagnose_batch(signals(), SAMPLE_RATE, cfg)
+    except ValueError as err:
+        if member is None:
+            raise
+        raise ValueError(f"{member}: {err}") from err
     lines = []
-    for path, diag in zip(paths, diagnose_batch(signals, SAMPLE_RATE, cfg)):
+    for path, diag in zip(paths, diags):
         out_path = _out_path(out_dir, path)
         clipped = write_wav(out_path, diag.enhanced, SAMPLE_RATE)
         counters = sorted(dict(diag.counters, saturated=clipped).items())
@@ -273,7 +292,10 @@ def _bench_one(job: tuple) -> dict:
     noise, _ = read_wav(noise_path, expect_rate=rate)
     tag = zlib.crc32(f"{clean_path}|{snr_db:.6f}".encode()) & 0x7FFFFFFF
     noisy = _mix_at_snr(clean, noise, snr_db, seed=seed, tag=tag)
-    diag = diagnose(noisy, rate, cfg)
+    try:
+        diag = diagnose(noisy, rate, cfg)
+    except ValueError as err:
+        raise ValueError(f"{clean_path}: {err}") from err
     row = {
         "file": clean_path,
         "enhancer": mode,
@@ -287,8 +309,10 @@ def _bench_one(job: tuple) -> dict:
 
 
 def cmd_bench(ns: argparse.Namespace) -> int:
-    if not all(np.isfinite(ns.snr)):
-        raise UsageError("SNR values must be finite")
+    with np.errstate(over="ignore"):  # the power ratios _mix_at_snr divides by
+        bad = [snr for snr in ns.snr if not 0.0 < np.float64(10.0) ** (snr / 10.0) < np.inf]
+    if bad:
+        raise UsageError(f"--snr {bad[0]} dB gives no finite positive power ratio")
     if ns.seed < 0:
         raise UsageError(f"--seed must be non-negative, got {ns.seed}")
     modes = dict.fromkeys(ns.mode or [m.value for m in Mode])

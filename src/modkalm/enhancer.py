@@ -9,6 +9,8 @@ is the degenerate mode that skips the Kalman stage entirely.
 
 The pipeline runs at one operating point, the framing of :mod:`.stft` and
 the model constants below; :class:`EnhancerConfig` chooses only the mode.
+A signal shorter than one frame is refused, silent or not.  The stages pass
+plain arrays, and the amplitude and phase of the STFT are taken once each.
 
 :func:`diagnose_batch` is the one implementation.  It takes the stages up
 to the LPC grids one utterance at a time, then runs a single Kalman frame
@@ -25,10 +27,10 @@ import numpy as np
 
 from .gamma_update import fit_gamma_prior, mdkm_posterior
 from .gaussring import DEFAULT_RING_CAP, mdkr_cell
-from .kalman import KalmanState, MomentPair, predict, tally, update
-from .logmmse import NoiseTrack, logmmse_enhance, track_noise
+from .kalman import KalmanState, predict, tally, update
+from .logmmse import logmmse_enhance, track_noise
 from .lpc import frame_model_index, noise_lpc_grid, prediction_gain, speech_lpc_grid
-from .stft import SAMPLE_RATE, analyze, synthesize
+from .stft import FRAME_LEN, SAMPLE_RATE, analyze, synthesize
 
 # Relative floors keeping degenerate cells solvable.  The speech floor is
 # deliberately larger than the noise floor: when both priors have collapsed
@@ -116,14 +118,16 @@ def diagnose_batch(signals, rate: int, cfg: EnhancerConfig = EnhancerConfig()) -
         if not np.any(x):
             results.append(Diagnostics(np.zeros_like(x), cfg.mode, counters, None, None, None))
             continue
-        spec = analyze(x)
-        noise = track_noise(spec)
-        pre = logmmse_enhance(spec, noise)
+        X = analyze(x)
+        amps, phase = np.abs(X), np.angle(X)
+        psd, vad = track_noise(amps)
+        pre = logmmse_enhance(amps, psd)
         if cfg.mode is Mode.LOGMMSE:
-            out = synthesize(pre, spec.phase, n_samples=x.size)
+            out = synthesize(pre, phase, n_samples=x.size)
             results.append(Diagnostics(out, cfg.mode, counters, None, None, None))
             continue
-        members.append((len(results), _Member(x.size, spec, noise, pre, cfg.mode, counters)))
+        members.append((len(results), _Member(x.size, X, amps, phase, psd, vad, pre,
+                                              cfg.mode, counters)))
         results.append(None)
     if members:
         _kalman_frames([m for _, m in members], NOISE_ORDER if cfg.mode is Mode.MDKR else 0)
@@ -138,6 +142,8 @@ def _checked(samples, rate: int) -> np.ndarray:
     x = np.asarray(samples, dtype=float).ravel()
     if x.size == 0:
         raise ValueError("signal is empty")
+    if x.size < FRAME_LEN:
+        raise ValueError(f"signal shorter than one frame ({x.size} < {FRAME_LEN})")
     finite = np.isfinite(x)
     if not finite.all():
         first = int(np.argmin(finite))
@@ -154,18 +160,17 @@ class _Member:
     """One utterance of a Kalman batch: what the frame loop reads of it
     (its grids, fitted here on its own) and what it writes for it."""
 
-    def __init__(self, n_samples: int, spec, noise: NoiseTrack, pre, mode: Mode,
+    def __init__(self, n_samples: int, X, amps, phase, psd, vad, pre, mode: Mode,
                  counters: dict):
         ring = mode is Mode.MDKR
         self.n_samples, self.counters = n_samples, counters
-        self.amps, self.psd = spec.amplitude, noise.psd
-        self.values = spec.values if ring else None
+        self.amps, self.phase, self.psd = amps, phase, psd
+        self.values = X if ring else None
         n_frames, n_bins = self.amps.shape
         self.sp_c, self.sp_v = speech_lpc_grid(pre, MOD_FRAMES, SPEECH_ORDER)
         self.jmap = frame_model_index(n_frames, MOD_FRAMES, self.sp_c.shape[0])
         if ring:
-            self.nz_c, self.nz_v = noise_lpc_grid(self.amps, noise.vad, MOD_FRAMES,
-                                                  NOISE_ORDER)
+            self.nz_c, self.nz_v = noise_lpc_grid(amps, vad, MOD_FRAMES, NOISE_ORDER)
         self.mean_power = float(np.mean(self.amps ** 2))
         self.g_speech = np.zeros((n_frames, n_bins), dtype=np.int16) if ring else None
         self.g_noise = np.zeros((n_frames, n_bins), dtype=np.int16) if ring else None
@@ -176,7 +181,6 @@ class _Member:
             hist = pre[n - p:n][::-1]           # newest history first
             preds[n] = -np.einsum("ki,ik->k", self.sp_c[self.jmap[n]], hist)
         self.gains = prediction_gain(pre[p:], preds[p:])
-        self.phase = spec.phase
         # the estimates overwrite the pre-cleaned grid frame by frame; a
         # reset row reads its pre-cleaned amplitude before that
         self.amps_hat = pre
@@ -257,11 +261,10 @@ def _kalman_frames(members: list, q: int) -> None:
         amps = np.concatenate([m.amps[n] for m in live])
         psd = np.concatenate([m.psd[n] for m in live])
 
-        state, prior = predict(state, F[:L], W[:L], split)
+        state, mu, Sigma = predict(state, F[:L], W[:L], split)
 
-        # keep the prior marginals strictly positive and finite
-        mu = prior.mu
-        Sigma = prior.sigma
+        # keep the prior marginals strictly positive and finite; update reads
+        # this Σ, floored in place
         bad = _nonfinite_rows(mu, Sigma)
         if bad.any():
             mu[bad] = 0.0
@@ -308,13 +311,12 @@ def _kalman_frames(members: list, q: int) -> None:
             for i, m in enumerate(live):
                 m.g_speech[n] = gs[i * n_bins:(i + 1) * n_bins]
                 m.g_noise[n] = gn[i * n_bins:(i + 1) * n_bins]
-        posterior = MomentPair(post_mu, post_sig)
 
         # a non-finite posterior or a row the update cannot invert comes back
         # non-finite and is reset here: the one per-cell fault path
-        state = update(state, prior, posterior, split)
+        state = update(state, Sigma, post_mu, post_sig, split)
         row_bad = bad | _nonfinite_rows(state.a, state.P)
-        est = np.maximum(posterior.mu[:, 0], 0.0)
+        est = np.maximum(post_mu[:, 0], 0.0)
         if row_bad.any():
             est[row_bad] = np.concatenate([m.amps_hat[n] for m in live])[row_bad]
             ra, rp = _init_rows(amps[row_bad], psd[row_bad], p, q, mean_power[:L][row_bad])

@@ -2,9 +2,9 @@
 
 The state vector stacks the last ``p`` speech amplitudes on top of the last
 ``q`` noise amplitudes.  Prediction runs both linear-prediction models one
-step forward; the Bayesian update (supplied externally as posterior moments
-of the current speech/noise pair) is folded back into the full state through
-the conditional-Gaussian transform.
+step forward, giving the prior (μ, Σ) of the current speech/noise pair; the
+Bayesian update (posterior moments of that pair, supplied externally) is
+folded back into the full state through the conditional-Gaussian transform.
 
 All operations accept an optional leading batch axis on ``a`` and ``P`` so a
 whole frame of frequency bins can be stepped at once; the maths per slice is
@@ -99,29 +99,8 @@ def _layout(p: int, q: int):
     return picked, order, inverse
 
 
-@dataclass
-class MomentPair:
-    """Mean and covariance of the current (speech, noise) amplitude pair.
-
-    ``mu`` has trailing length 1 (speech only, stationary-noise mode) or 2;
-    ``sigma`` is the matching 1x1 or 2x2 covariance.
-    """
-
-    mu: np.ndarray
-    sigma: np.ndarray
-
-    def __post_init__(self):
-        self.mu = np.asarray(self.mu, dtype=float)
-        self.sigma = np.asarray(self.sigma, dtype=float)
-        d = self.mu.shape[-1]
-        if d not in (1, 2):
-            raise ValueError("moment pair must cover 1 or 2 amplitudes")
-        if self.sigma.shape[-2:] != (d, d):
-            raise ValueError("sigma shape does not match mu")
-
-
 def predict(state: KalmanState, F, W, counters: dict | list | None = None):
-    """One-step time update; returns the predicted state and prior moments.
+    """One-step time update; returns the predicted state, prior mean and Σ.
 
     ``F`` is the transition and ``W`` the process-noise covariance, both
     (..., dim, dim), so the predicted covariance is F P Fᵀ + W.  Negative
@@ -143,16 +122,12 @@ def predict(state: KalmanState, F, W, counters: dict | list | None = None):
     tally(counters, "prior_mean_clamped", mu_raw < 0.0)
     mu = np.maximum(mu_raw, 0.0)
     Sigma = P[..., sel, :][..., :, sel]
-    return KalmanState(a, P, state.p, state.q), MomentPair(mu, Sigma)
+    return KalmanState(a, P, state.p, state.q), mu, Sigma
 
 
-def update(
-    prior_state: KalmanState,
-    prior: MomentPair,
-    posterior: MomentPair,
-    counters: dict | list | None = None,
-) -> KalmanState:
-    """Fold posterior moments of the picked amplitudes back into the state.
+def update(prior_state: KalmanState, prior_sigma, post_mu, post_sigma,
+           counters: dict | list | None = None) -> KalmanState:
+    """Fold posterior moments of the picked amplitudes (prior covariance Σ) into the state.
 
     Conditional-Gaussian identity: with the state split into the picked pair
     u and the remainder v, the prior couples them through G = Cov(v,u) Σ⁻¹.
@@ -182,14 +157,14 @@ def update(
     """
     picked, order, inverse = _layout(prior_state.p, prior_state.q)
     d = picked.size
-    if posterior.mu.shape[-1] != d or prior.mu.shape[-1] != d:
+    if post_mu.shape[-1] != d or prior_sigma.shape[-1] != d:
         raise ValueError("moment dimension does not match the state layout")
 
-    lo, hi = _eig_magnitudes(prior.sigma)
+    lo, hi = _eig_magnitudes(prior_sigma)
     dead = ~(np.isfinite(hi) & (hi > 0.0))  # zero or non-finite: no ridge helps
     ridged = ~dead & ~(hi <= _COND_LIMIT * lo)
     tally(counters, "sigma_regularized", ridged)
-    Sigma = prior.sigma
+    Sigma = prior_sigma
     if ridged.any():
         tr = np.trace(Sigma, axis1=-2, axis2=-1)
         Sigma = np.where(ridged[..., None, None],
@@ -212,12 +187,12 @@ def update(
         G = np.swapaxes(np.linalg.solve(np.swapaxes(Sigma, -1, -2),
                                         np.swapaxes(M, -1, -2)), -1, -2)
 
-    delta_mu = posterior.mu - a[..., :d]
+    delta_mu = post_mu - a[..., :d]
     a_new = a.copy()
     a_new[..., :d] += delta_mu
     a_new[..., d:] += np.einsum("...ij,...j->...i", G, delta_mu)
 
-    dS = posterior.sigma - prior.sigma
+    dS = post_sigma - prior_sigma
     P_new = P.copy()
     P_new[..., :d, :d] += dS
     cross = G @ dS

@@ -1,15 +1,13 @@
 """Log-spectral amplitude baseline enhancer and its noise power tracker.
 
-The tracker feeds three consumers: the baseline enhancer itself, the
-pre-cleaner in front of the speech model estimator, and the noise-only
-frame flags used by the noise model estimator.
+Both take the noisy amplitude grid.  The tracker's noise power and per-frame
+noise-only flags feed the baseline enhancer itself, the pre-cleaner in front
+of the speech model estimator and, the flags, the noise model estimator.
 """
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import exp1
 
-from .stft import FRAME_INC, FRAME_LEN, SAMPLE_RATE, ComplexSpectrogram
+from .stft import FRAME_INC, FRAME_LEN, SAMPLE_RATE
 
 SMOOTH_ALPHA = 0.96           # recursive periodogram smoothing; calibrated so
                               # the fixed bias factor centres the estimate on
@@ -26,26 +24,8 @@ V_MIN = 1e-50
 GAIN_FLOOR = 10.0 ** (-30.0 / 20.0)
 
 
-@dataclass
-class NoiseTrack:
-    """Per-bin noise power trajectory plus per-frame noise-only flags."""
-
-    psd: np.ndarray
-    vad: np.ndarray
-
-    def __post_init__(self):
-        self.psd = np.asarray(self.psd, dtype=float)
-        self.vad = np.asarray(self.vad, dtype=bool)
-        if self.psd.ndim != 2:
-            raise ValueError("psd must be a (frames, bins) grid")
-        if self.vad.shape != (self.psd.shape[0],):
-            raise ValueError("vad must hold one flag per frame")
-        if not np.all(self.psd > 0):
-            raise ValueError("psd must be strictly positive")
-
-
-def track_noise(noisy: ComplexSpectrogram) -> NoiseTrack:
-    """Minimum-statistics noise PSD with a crude frame activity flag.
+def track_noise(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-statistics noise PSD and a crude frame activity flag: ``(psd, vad)``.
 
     Periodograms are smoothed recursively (weight ``SMOOTH_ALPHA`` on the
     running value), a causal sliding minimum over roughly 1.5 s picks out
@@ -53,7 +33,7 @@ def track_noise(noisy: ComplexSpectrogram) -> NoiseTrack:
     by a fixed factor.  A frame is flagged noise-only when at least 80% of
     its bins sit below 3 dB a-posteriori SNR.
     """
-    power = np.abs(noisy.values) ** 2
+    power = amps ** 2
 
     # frames overlapping the analysis padding at either end carry partial
     # signal; keep them out of the noise-floor search
@@ -81,7 +61,7 @@ def track_noise(noisy: ComplexSpectrogram) -> NoiseTrack:
 
     quiet = power < VAD_SNR_LIMIT * psd
     vad = quiet.mean(axis=1) >= VAD_BIN_FRACTION
-    return NoiseTrack(psd=psd, vad=vad)
+    return psd, vad
 
 
 def _smooth_power(power: np.ndarray, carry: np.ndarray) -> np.ndarray:
@@ -122,17 +102,16 @@ def logmmse_gain(xi, gamma_post):
     return np.clip(xi / (1.0 + xi) * np.exp(0.5 * exp1(v)), GAIN_FLOOR, 1.0)
 
 
-def logmmse_enhance(noisy: ComplexSpectrogram, noise: NoiseTrack) -> np.ndarray:
-    """Amplitude grid after log-spectral amplitude gains.
+def logmmse_enhance(amps: np.ndarray, psd: np.ndarray) -> np.ndarray:
+    """Amplitude grid after log-spectral amplitude gains against ``psd``.
 
     A-priori SNR follows the decision-directed recursion: a weighted blend
     of the previous frame's cleaned power over the noise estimate and the
     instantaneous ``max(gamma-1, 0)``.
     """
-    amps = noisy.amplitude
-    if noise.psd.shape != amps.shape:
+    if psd.shape != amps.shape:
         raise ValueError("noise track does not match the spectrogram")
-    gamma = amps ** 2 / noise.psd
+    gamma = amps ** 2 / psd
     out = np.empty_like(amps)
     prev_power = None
     for n in range(amps.shape[0]):
@@ -140,7 +119,7 @@ def logmmse_enhance(noisy: ComplexSpectrogram, noise: NoiseTrack) -> np.ndarray:
         if prev_power is None:
             xi = inst
         else:
-            xi = DD_ALPHA * prev_power / noise.psd[n - 1] + (1.0 - DD_ALPHA) * inst
+            xi = DD_ALPHA * prev_power / psd[n - 1] + (1.0 - DD_ALPHA) * inst
         gain = logmmse_gain(xi, gamma[n])
         out[n] = gain * amps[n]
         prev_power = out[n] ** 2

@@ -1,16 +1,16 @@
 """Framing, windowing, forward STFT and weighted overlap-add inverse, at the
 one operating point the enhancer runs at (16 kHz, 32 ms frames every 8 ms).
 
-The analysis applies a periodic Hamming window and keeps the one-sided
-spectrum; the synthesis applies the window a second time and divides by the
-numerically accumulated squared-window overlap, which makes the round trip
-exact (to rounding) wherever the overlap is complete.  Signals are padded by
-one frame length at each end so the whole original extent has full overlap.
+The analysis applies a periodic Hamming window and returns the one-sided
+spectrum as a complex (frames, bins) array; the synthesis applies the window
+a second time and divides by the numerically accumulated squared-window
+overlap, which makes the round trip exact (to rounding) wherever the overlap
+is complete.  Signals are padded by one frame length at each end so the
+whole original extent has full overlap.
 """
 from __future__ import annotations
 
 import wave
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,6 @@ __all__ = [
     "SAMPLE_RATE",
     "FRAME_LEN",
     "FRAME_INC",
-    "ComplexSpectrogram",
     "periodic_hamming",
     "analyze",
     "synthesize",
@@ -46,23 +45,9 @@ def periodic_hamming(n: int) -> np.ndarray:
     return 0.54 + (1.0 - 0.54) * np.cos(np.linspace(-np.pi, np.pi, n + 1)[:-1])
 
 
-@dataclass
-class ComplexSpectrogram:
-    """One-sided STFT grid: frame index along axis 0, bin index along axis 1."""
-
-    values: np.ndarray
-
-    @property
-    def amplitude(self) -> np.ndarray:
-        return np.abs(self.values)
-
-    @property
-    def phase(self) -> np.ndarray:
-        return np.angle(self.values)
-
-
-def analyze(signal) -> ComplexSpectrogram:
-    """Windowed one-sided DFT of every frame of ``signal``.
+def analyze(signal) -> np.ndarray:
+    """Windowed one-sided DFT of every frame of ``signal``: a complex grid
+    with the frame index along axis 0 and the bin index along axis 1.
 
     The signal is zero-padded by FRAME_LEN at the front and by at least
     FRAME_LEN at the back (rounded up so the hop divides the padded length),
@@ -74,8 +59,7 @@ def analyze(signal) -> ComplexSpectrogram:
     pad_back = FRAME_LEN + (-(x.size + FRAME_LEN)) % FRAME_INC
     xp = np.concatenate([np.zeros(FRAME_LEN), x, np.zeros(pad_back)])
     frames = sliding_window_view(xp, FRAME_LEN)[::FRAME_INC]
-    values = np.fft.rfft(frames * periodic_hamming(FRAME_LEN), axis=1)
-    return ComplexSpectrogram(values=values)
+    return np.fft.rfft(frames * periodic_hamming(FRAME_LEN), axis=1)
 
 
 def synthesize(amplitudes, phases, n_samples: int) -> np.ndarray:

@@ -26,6 +26,8 @@ one cell at a time), so agreement between the two is evidence for both:
   :func:`amplitude_moments`, is the ring cell in its plain form: every product component weighted, each reduction a dot
   product, fresh arrays throughout.  ``gaussring.mdkr_cell`` must return
   the same bytes.
+- :func:`batch_cuts` is the CLI's batch planner as first written, with a
+  list entry for every process asked for, the oracle for ``cli._batches``.
 """
 from __future__ import annotations
 
@@ -448,3 +450,30 @@ def mdkr_cell(
     if s11 < 0.0 or s22 < 0.0 or s11 * s22 < s12 * s12:
         Sigma = psd_project(Sigma)
     return np.array([ma, mb]), Sigma
+
+
+def batch_cuts(sizes: list[int], workers: int, budget: int) -> list[int]:
+    """The number of files in each batch that the CLI's planner cuts from
+    files of ``sizes`` bytes for ``workers`` processes and a batch budget of
+    ``budget`` bytes, kept as it was written with a load and a batch count
+    for every one of the ``workers`` processes; ``cli._batches`` keeps them
+    only for the processes that take a batch and must cut the same."""
+    total = sum(sizes) or 1
+    count = workers * -(-total // (workers * budget))
+    while True:
+        loads, taken, cuts, used, rest = [0] * workers, [0] * workers, [], [], total
+        for size in sizes:
+            if not cuts or 2 * loads[p] + size > 2 * goal:
+                p = loads.index(min(loads))
+                taken[p] += 1
+                goal = max(taken[p] * total / count,
+                           loads[p] + rest / (count - len(cuts)))
+                cuts.append(0)
+                used.append(0)
+            cuts[-1] += 1
+            used[-1] += size
+            loads[p] += size
+            rest -= size
+        if all(n <= budget or k == 1 for k, n in zip(cuts, used)):
+            return cuts
+        count += workers

@@ -5,6 +5,7 @@ import logging
 import multiprocessing
 import os
 import time
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -15,6 +16,7 @@ import modkalm.cli
 from modkalm.cli import _mix_at_snr, main
 from modkalm.enhancer import EnhancerConfig, Mode, enhance
 from modkalm.stft import read_wav, write_wav
+import reference
 
 RATE = 16000
 
@@ -395,6 +397,56 @@ class TestWorkers:
         # it comes after the bad one in a single process
         assert written == ([] if bad_first and workers == "1" else ["in.enhanced.wav"])
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("samples, why", [
+        (100, "signal shorter than one frame (100 < 512)"), (0, "signal is empty")],
+        ids=["short", "empty"])
+    @pytest.mark.parametrize("bad_first", [True, False], ids=["bad-first", "bad-second"])
+    def test_unusable_signal_exits_1_naming_it_in_either_share(self, wavs, tmp_path, capsys,
+                                                               mode, samples, why, bad_first):
+        # the forked process takes the first file and this one the second;
+        # the enhancer's message does not name the file, so the CLI does
+        bad = tmp_path / "bad.wav"
+        write_wav(bad, np.full(samples, 0.1), RATE)
+        good = str(wavs / "in.wav")
+        paths = [str(bad), good] if bad_first else [good, str(bad)]
+        rc = main(["enhance", "--mode", mode.value, *paths, "-o", str(tmp_path / "out"),
+                   "--workers", "2"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {bad}: {why}\n"
+        assert multiprocessing.active_children() == []
+
+    def test_cuts_match_the_planner_with_a_load_for_every_process(self, monkeypatch):
+        # the planner keeps a load only for each process that took a batch;
+        # with one for each of the workers asked for it cut the same
+        rng = np.random.default_rng(19)
+        scales = [0, 300, 4_000, 16_044, 40_000, 70_000]
+        sizes = []
+        monkeypatch.setattr(os.path, "getsize", lambda path: sizes[int(path)])
+        for _ in range(1200):
+            n = int(rng.integers(1, 13))
+            sizes[:] = [int(rng.integers(0, s + 1)) for s in rng.choice(scales, n)]
+            workers = int(rng.integers(1, 4 * n + 1))
+            batches = modkalm.cli._batches([str(i) for i in range(n)], workers)
+            assert [len(b) for b in batches] == reference.batch_cuts(
+                sizes, workers, modkalm.cli.BATCH_BYTES), (sizes, workers)
+            assert sum(batches, []) == [str(i) for i in range(n)]
+
+    def test_planner_cost_does_not_grow_with_workers(self, wavs):
+        # a million workers asked for made lists of a million loads each
+        paths = [str(wavs / name) for name in ("in.wav", "second.wav", "noise_long.wav")]
+        tracemalloc.start()
+        try:
+            batches = modkalm.cli._batches(paths, 10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        assert batches == [[path] for path in paths]
+        start = time.perf_counter()
+        assert modkalm.cli._batches(paths, 10 ** 12) == batches
+        assert time.perf_counter() - start < 0.5
+
     def test_first_failing_file_in_input_order_is_reported(self, wavs, not_wav,
                                                            tmp_path, capsys):
         # both fail at once, the second here and the first in the started
@@ -522,11 +574,29 @@ class TestBenchCommand:
         assert not (tmp_path / "bench.csv").exists()
 
     def test_nonfinite_snr_is_usage_error(self, wavs, tmp_path, capsys):
-        rc = main(["bench", str(wavs / "in.wav"),
-                   "--noise", str(wavs / "noise_long.wav"),
-                   "--snr", "nan", "-o", str(tmp_path)])
-        assert rc == 2
-        assert "finite" in capsys.readouterr().err
+        # ±4000 dB are finite, but their power ratios overflow and underflow
+        for snr in ("nan", "4000", "-4000"):
+            rc = main(["bench", str(wavs / "in.wav"),
+                       "--noise", str(wavs / "noise_long.wav"),
+                       "--snr", "0", snr, "-o", str(tmp_path)])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert "finite" in err and "--snr" in err
+            assert not (tmp_path / "bench.csv").exists()
+
+    @pytest.mark.parametrize("bad_first", [True, False], ids=["bad-first", "bad-second"])
+    def test_short_clean_file_exits_1_naming_it_in_either_share(self, wavs, tmp_path,
+                                                                capsys, bad_first):
+        bad = tmp_path / "short.wav"
+        write_wav(bad, np.full(100, 0.1), RATE)
+        good = str(wavs / "in.wav")
+        paths = [str(bad), good] if bad_first else [good, str(bad)]
+        rc = main(["bench", *paths, "--noise", str(wavs / "noise_long.wav"),
+                   "--mode", "logmmse", "--workers", "2", "-o", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: signal shorter than one frame (100 < 512)\n")
+        assert multiprocessing.active_children() == []
 
 
 class TestMixing:

@@ -11,10 +11,9 @@ import modkalm.gamma_update as gamma_update
 from modkalm.enhancer import (Diagnostics, EnhancerConfig, Mode, diagnose, diagnose_batch,
                               enhance)
 from modkalm.gaussring import DEFAULT_RING_CAP
-from modkalm.kalman import MomentPair
 from modkalm.logmmse import logmmse_enhance, track_noise
 from modkalm.metrics import seg_snr
-from modkalm.stft import analyze, synthesize
+from modkalm.stft import FRAME_LEN, analyze, synthesize
 import reference
 
 RATE = 16000
@@ -119,6 +118,18 @@ class TestInputContract:
         with pytest.raises(ValueError):
             enhance(np.zeros(4000), 8000, EnhancerConfig())
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("fill", [0.0, 0.5], ids=["silent", "non-silent"])
+    def test_shorter_than_one_frame_rejected(self, mode, fill):
+        # silence is no exception: the all-zero shortcut comes after the check
+        cfg = EnhancerConfig(mode=mode)
+        for n in (1, 100, FRAME_LEN - 1):
+            for run in (enhance, diagnose):
+                with pytest.raises(ValueError, match=rf"^signal shorter than one frame "
+                                                     rf"\({n} < {FRAME_LEN}\)$"):
+                    run(np.full(n, fill), RATE, cfg)
+        assert enhance(np.full(FRAME_LEN, fill), RATE, cfg).shape == (FRAME_LEN,)
+
     def test_zero_in_zero_out(self):
         out = enhance(np.zeros(12345), RATE, EnhancerConfig(mode=Mode.MDKR))
         assert out.shape == (12345,)
@@ -154,9 +165,10 @@ class TestModes:
     def test_logmmse_mode_matches_direct_pipeline(self):
         y = add_white(voiced_babble(3, dur=0.8), 3, 5.0)
         out = enhance(y, RATE, EnhancerConfig(mode=Mode.LOGMMSE))
-        spec = analyze(y)
-        amps = logmmse_enhance(spec, track_noise(spec))
-        ref = synthesize(amps, spec.phase, n_samples=y.size)
+        X = analyze(y)
+        amps = np.abs(X)
+        psd, _ = track_noise(amps)
+        ref = synthesize(logmmse_enhance(amps, psd), np.angle(X), n_samples=y.size)
         assert np.array_equal(out, ref)
 
     @pytest.mark.parametrize("mode", [Mode.MDKM, Mode.MDKR])
@@ -400,16 +412,18 @@ class TestFaultIsolation:
         calls, priors = [], []
 
         def nan_predict(*args, **kwargs):
-            state, prior = real_predict(*args, **kwargs)
-            calls.append(None)
+            state, mu, Sigma = real_predict(*args, **kwargs)
+            calls.append(mu)
             if len(calls) == 5:
-                prior.sigma[:] = np.nan
-            return state, prior
+                Sigma[:] = np.nan
+            return state, mu, Sigma
 
-        def spy_update(state, prior, *args, **kwargs):
+        def spy_update(state, prior_sigma, *args, **kwargs):
+            # the frame loop resets the prior mean and Σ that predict
+            # returned in place, before the update
             if len(calls) == 5:
-                priors.append((prior.mu.copy(), prior.sigma.copy()))
-            return real_update(state, prior, *args, **kwargs)
+                priors.append((calls[-1].copy(), prior_sigma.copy()))
+            return real_update(state, prior_sigma, *args, **kwargs)
 
         monkeypatch.setattr(enh, "predict", nan_predict)
         monkeypatch.setattr(enh, "update", spy_update)
@@ -420,7 +434,7 @@ class TestFaultIsolation:
         members[1] *= 30.0
         batch = diagnose_batch(members, RATE, cfg)
         mu, sigma = priors[0]
-        power = np.repeat([np.mean(analyze(x).amplitude ** 2) for x in members], 257)
+        power = np.repeat([np.mean(np.abs(analyze(x)) ** 2) for x in members], 257)
         d = mu.shape[1]
         assert np.array_equal(mu, np.zeros_like(mu))
         assert np.array_equal(sigma, np.eye(d) * power[:, None, None])
@@ -439,10 +453,10 @@ class TestFaultIsolation:
         real_update, real_synth = enh.update, enh.synthesize
         grids = []
 
-        def faulty_update(state, prior, posterior, counters=None):
-            sigma = prior.sigma.copy()
+        def faulty_update(state, prior_sigma, post_mu, post_sigma, counters=None):
+            sigma = prior_sigma.copy()
             sigma[7] = sigma_fault(sigma[7])
-            return real_update(state, MomentPair(prior.mu, sigma), posterior, counters)
+            return real_update(state, sigma, post_mu, post_sigma, counters)
 
         def spy_synth(amps, *args, **kwargs):
             grids.append(amps.copy())

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modkalm.kalman import KalmanState, MomentPair, predict, psd_project, tally, update
+from modkalm.kalman import KalmanState, predict, psd_project, tally, update
 from reference import ModulationLpcModel, build_transition
 
 
@@ -64,11 +64,11 @@ class TestPredict:
         F, Q, D = build_transition(speech, noise)
         W0 = D @ np.zeros_like(Q) @ D.T
         st = KalmanState(np.array([1.0, 2.0, 3.0]), np.zeros((3, 3)), 2, 1)
-        pred, prior = predict(st, F, W0)
+        pred, mu, Sigma = predict(st, F, W0)
         assert pred.P == pytest.approx(np.zeros((3, 3)))
-        assert prior.sigma == pytest.approx(np.zeros((2, 2)))
+        assert Sigma == pytest.approx(np.zeros((2, 2)))
         fa = F @ st.a
-        assert prior.mu == pytest.approx(np.maximum(fa[[0, 2]], 0.0))
+        assert mu == pytest.approx(np.maximum(fa[[0, 2]], 0.0))
 
     def test_identity_transition_adds_unit_variance(self):
         rng = np.random.default_rng(3)
@@ -78,9 +78,9 @@ class TestPredict:
         st = KalmanState(np.abs(rng.standard_normal(n)), P, p, q)
         D = np.zeros((n, 2))
         D[0, 0] = D[p, 1] = 1.0
-        _, prior = predict(st, np.eye(n), D @ np.eye(2) @ D.T)
+        _, _, Sigma = predict(st, np.eye(n), D @ np.eye(2) @ D.T)
         expected = P[np.ix_([0, p], [0, p])] + np.eye(2)
-        assert prior.sigma == pytest.approx(expected, rel=1e-12)
+        assert Sigma == pytest.approx(expected, rel=1e-12)
 
     def test_prior_covariance_matches_sampling(self):
         rng = np.random.default_rng(17)
@@ -96,7 +96,7 @@ class TestPredict:
         a = np.abs(rng.standard_normal(n)) + 1.0
         P = random_spd(rng, n, 0.5)
         st = KalmanState(a, P, p, q)
-        _, prior = predict(st, F, D @ Q @ D.T)
+        _, mu, Sigma = predict(st, F, D @ Q @ D.T)
 
         m = 1_000_000
         x = rng.multivariate_normal(a, P, size=m)
@@ -104,18 +104,18 @@ class TestPredict:
         y = x @ F.T + e @ D.T
         emp = np.cov(y[:, [0, p]], rowvar=False)
         scale = np.sqrt(np.outer(np.diag(emp), np.diag(emp)))
-        assert np.all(np.abs(emp - prior.sigma) <= 0.01 * scale)
-        assert y[:, [0, p]].mean(axis=0) == pytest.approx(prior.mu, abs=0.01 * prior.mu.max())
+        assert np.all(np.abs(emp - Sigma) <= 0.01 * scale)
+        assert y[:, [0, p]].mean(axis=0) == pytest.approx(mu, abs=0.01 * mu.max())
 
     def test_negative_mean_clamped_and_counted(self):
         speech, noise = make_models(1, 1, speech_coeffs=[0.9], noise_coeffs=[-0.5])
         F, Q, D = build_transition(speech, noise)
         st = KalmanState(np.array([1.0, 1.0]), np.eye(2), 1, 1)
         counters = {}
-        pred, prior = predict(st, F, D @ Q @ D.T, counters=counters)
+        pred, mu, _ = predict(st, F, D @ Q @ D.T, counters=counters)
         assert pred.a[0] == pytest.approx(-0.9)  # raw state keeps the sign
-        assert prior.mu[0] == 0.0
-        assert prior.mu[1] == pytest.approx(0.5)
+        assert mu[0] == 0.0
+        assert mu[1] == pytest.approx(0.5)
         assert counters["prior_mean_clamped"] == 1
 
     def test_shape_mismatch_rejected(self):
@@ -138,7 +138,7 @@ class TestPredict:
         P = np.stack([random_spd(rng, n, rng.uniform(0.1, 10.0)) for _ in range(rows)])
         st = KalmanState(rng.uniform(0.5, 2.0, (rows, n)), P, p, q)
         Dt = np.swapaxes(D, -1, -2)
-        pred, _ = predict(st, F, D @ Q @ Dt)
+        pred, _, _ = predict(st, F, D @ Q @ Dt)
         want = F @ P @ np.swapaxes(F, -1, -2) + D @ Q @ Dt
         want = 0.5 * (want + np.swapaxes(want, -1, -2))
         assert np.array_equal(pred.P, want)
@@ -203,8 +203,8 @@ class TestUpdate:
         st = KalmanState(np.abs(rng.standard_normal(n)) + 0.5, random_spd(rng, n), p, q)
         speech, noise = make_models(p, q)
         F, Q, D = build_transition(speech, noise)
-        pred, prior = predict(st, F, D @ Q @ D.T)
-        out = update(pred, prior, MomentPair(prior.mu.copy(), prior.sigma.copy()))
+        pred, mu, Sigma = predict(st, F, D @ Q @ D.T)
+        out = update(pred, Sigma, mu.copy(), Sigma.copy())
         assert out.a == pytest.approx(pred.a, abs=1e-12)
         assert out.P == pytest.approx(pred.P, abs=1e-12)
 
@@ -221,8 +221,7 @@ class TestUpdate:
         y = float(a[sel].sum() + rng.standard_normal())
 
         mu_post, Sigma_post = conditioned_on_sum(a[sel], P[np.ix_(sel, sel)], y, R)
-        prior = MomentPair(a[sel], P[np.ix_(sel, sel)])
-        out = update(st, prior, MomentPair(mu_post, Sigma_post))
+        out = update(st, P[np.ix_(sel, sel)], mu_post, Sigma_post)
 
         a_ref, P_ref = classical_kalman(a, P, sel, y, R)
         assert out.a == pytest.approx(a_ref, abs=1e-9)
@@ -237,18 +236,26 @@ class TestUpdate:
         R = 0.6
         y = float(a[0] + 0.4)
         mu_post, Sigma_post = conditioned_on_sum(a[:1], P[:1, :1], y, R)
-        out = update(st, MomentPair(a[:1], P[:1, :1]), MomentPair(mu_post, Sigma_post))
+        out = update(st, P[:1, :1], mu_post, Sigma_post)
         a_ref, P_ref = classical_kalman(a, P, [0], y, R)
         assert out.a == pytest.approx(a_ref, abs=1e-9)
         assert out.P == pytest.approx(P_ref, abs=1e-9)
+
+    @pytest.mark.parametrize("p, q, d", [(3, 2, 1), (3, 2, 3), (3, 0, 2)])
+    def test_moment_dimension_must_match_the_layout(self, p, q, d):
+        st = KalmanState(np.ones(p + q), np.eye(p + q), p, q)
+        good = 2 if q else 1
+        with pytest.raises(ValueError, match="moment dimension"):
+            update(st, np.eye(good), np.ones(d), np.eye(d))
+        with pytest.raises(ValueError, match="moment dimension"):
+            update(st, np.eye(d), np.ones(good), np.eye(good))
 
     def test_speech_only_covariance_step_is_rank_one(self):
         rng = np.random.default_rng(31)
         p = 3
         st = KalmanState(np.abs(rng.standard_normal(p)) + 1.0, random_spd(rng, p), p, 0)
-        prior = MomentPair(st.a[:1], st.P[:1, :1])
-        post = MomentPair(prior.mu * 0.8, prior.sigma * 0.5)
-        out = update(st, prior, post)
+        Sigma = st.P[:1, :1]
+        out = update(st, Sigma, st.a[:1] * 0.8, Sigma * 0.5)
         step = out.P - st.P
         assert np.linalg.matrix_rank(step, tol=1e-10) == 1
 
@@ -259,10 +266,10 @@ class TestUpdate:
         st = KalmanState(np.abs(rng.standard_normal(n)) + 1.0, random_spd(rng, n), p, q)
         speech, noise = make_models(p, q)
         F, Q, D = build_transition(speech, noise)
-        pred, prior = predict(st, F, D @ Q @ D.T)
-        Sigma_post = 0.5 * prior.sigma + 0.1 * np.eye(2)
-        mu_post = prior.mu * 0.9
-        out = update(pred, prior, MomentPair(mu_post, Sigma_post))
+        pred, mu, Sigma = predict(st, F, D @ Q @ D.T)
+        Sigma_post = 0.5 * Sigma + 0.1 * np.eye(2)
+        mu_post = mu * 0.9
+        out = update(pred, Sigma, mu_post, Sigma_post)
         block = out.P[np.ix_([0, p], [0, p])]
         assert block == pytest.approx(Sigma_post, abs=1e-10)
         assert out.a[[0, p]] == pytest.approx(mu_post, abs=1e-12)
@@ -274,12 +281,12 @@ class TestUpdate:
             n = p + q
             st = KalmanState(np.abs(rng.standard_normal(n)) + 1.0, random_spd(rng, n), p, q)
             sel = [0, p]
-            prior = MomentPair(st.a[sel], st.P[np.ix_(sel, sel)])
+            Sigma = st.P[np.ix_(sel, sel)]
             shrink = random_spd(rng, 2, 0.05)
-            Sigma_post = prior.sigma - shrink
+            Sigma_post = Sigma - shrink
             if np.linalg.eigvalsh(Sigma_post).min() <= 0:
                 continue
-            out = update(st, prior, MomentPair(prior.mu, Sigma_post))
+            out = update(st, Sigma, st.a[sel], Sigma_post)
             assert np.all(np.diag(out.P)[sel] <= np.diag(st.P)[sel] + 1e-12)
 
     def test_near_singular_prior_sigma_regularized(self):
@@ -289,9 +296,9 @@ class TestUpdate:
         P[0, 0] = 1.0
         st = KalmanState(np.ones(n), P, p, q)
         sel = [0, p]
-        prior = MomentPair(st.a[sel], P[np.ix_(sel, sel)])
+        Sigma = P[np.ix_(sel, sel)]
         counters = {}
-        out = update(st, prior, MomentPair(prior.mu * 1.1, prior.sigma), counters=counters)
+        out = update(st, Sigma, st.a[sel] * 1.1, Sigma, counters=counters)
         assert counters.get("sigma_regularized", 0) == 1
         assert np.all(np.isfinite(out.a)) and np.all(np.isfinite(out.P))
 
@@ -301,10 +308,10 @@ class TestUpdate:
         n = p + q
         st = KalmanState(np.abs(rng.standard_normal(n)) + 1.0, random_spd(rng, n), p, q)
         sel = [0, p]
-        prior = MomentPair(st.a[sel], st.P[np.ix_(sel, sel)])
-        mu_post, Sigma_post = conditioned_on_sum(prior.mu, prior.sigma, 3.0, 0.5)
+        Sigma = st.P[np.ix_(sel, sel)]
+        mu_post, Sigma_post = conditioned_on_sum(st.a[sel], Sigma, 3.0, 0.5)
         counters = {}
-        update(st, prior, MomentPair(mu_post, Sigma_post), counters=counters)
+        update(st, Sigma, mu_post, Sigma_post, counters=counters)
         assert counters.get("psd_projected", 0) == 0
 
     @pytest.mark.parametrize("rel_eigmin", [-1e-12, -1e-7])
@@ -317,13 +324,12 @@ class TestUpdate:
         P = np.diag([1.0, 0.7, 0.5])
         sel = [0, p]
         mu = np.array([1.0, 0.5])
-        post = MomentPair(mu * 0.9, np.diag([1.0, rel_eigmin]))
+        mu_post, Sigma_post = mu * 0.9, np.diag([1.0, rel_eigmin])
         projected = []
         for c in (1e-4, 1.0, 1e4):
             counters = {}
-            update(KalmanState(np.sqrt(c) * np.ones(3), c * P, p, q),
-                   MomentPair(np.sqrt(c) * mu, c * P[np.ix_(sel, sel)]),
-                   MomentPair(np.sqrt(c) * post.mu, c * post.sigma), counters)
+            update(KalmanState(np.sqrt(c) * np.ones(3), c * P, p, q), c * P[np.ix_(sel, sel)],
+                   np.sqrt(c) * mu_post, c * Sigma_post, counters)
             projected.append(counters.get("psd_projected", 0))
         assert projected in ([0, 0, 0], [1, 1, 1])
 
@@ -333,16 +339,11 @@ class TestUpdate:
         a, P, mu, Sigma, mu_post, Sigma_post = (
             np.stack(col) for col in zip(*(mixed_row(rng, kind, p, q) for kind in kinds)))
         counters = {}
-        out = update(KalmanState(a, P, p, q), MomentPair(mu, Sigma),
-                     MomentPair(mu_post, Sigma_post), counters)
+        out = update(KalmanState(a, P, p, q), Sigma, mu_post, Sigma_post, counters)
         loop_counters = {}
         for b, kind in enumerate(kinds):
-            single = update(
-                KalmanState(a[b], P[b], p, q),
-                MomentPair(mu[b], Sigma[b]),
-                MomentPair(mu_post[b], Sigma_post[b]),
-                loop_counters,
-            )
+            single = update(KalmanState(a[b], P[b], p, q), Sigma[b], mu_post[b],
+                            Sigma_post[b], loop_counters)
             if kind in ("zero", "nonfinite"):
                 assert np.isnan(out.a[b]).all() and np.isnan(out.P[b]).all()
                 assert np.isnan(single.a).all() and np.isnan(single.P).all()
@@ -389,9 +390,8 @@ class TestUpdate:
         F = np.tile(0.9 * np.eye(n), (len(kinds), 1, 1))
         W = np.tile(0.1 * np.eye(n), (len(kinds), 1, 1))
         counters = {}
-        out = update(KalmanState(a, P, p, q), MomentPair(mu, Sigma),
-                     MomentPair(mu_post, Sigma_post), counters)
-        pred, _ = predict(out, F, W)
+        out = update(KalmanState(a, P, p, q), Sigma, mu_post, Sigma_post, counters)
+        pred, _, _ = predict(out, F, W)
         assert counters["psd_projected"] >= 1
         assert np.isnan(out.a[1]).all()
         for arr in (out.a, out.P, pred.a, pred.P):
@@ -438,9 +438,9 @@ class TestPsdCertificate:
         P = np.stack([self.row(rng, n, kind) for kind in kinds])
         a = rng.uniform(0.5, 2.0, (len(kinds), n))
         sel = [0, p] if q else [0]
-        prior = MomentPair(a[:, sel], P[:, sel][:, :, sel])
+        Sigma = P[:, sel][:, :, sel]
         counters = {}
-        out = update(KalmanState(a, P, p, q), prior, prior, counters)
+        out = update(KalmanState(a, P, p, q), Sigma, a[:, sel], Sigma, counters)
         return out, counters.get("psd_projected", 0)
 
     @pytest.mark.parametrize("n", [1, 3, 7])
@@ -495,12 +495,6 @@ class TestContainers:
             KalmanState(np.zeros(4), np.eye(3), 2, 2)
         with pytest.raises(ValueError):
             KalmanState(np.zeros(2), np.eye(2), 0, 2)
-
-    def test_moment_pair_validation(self):
-        with pytest.raises(ValueError):
-            MomentPair(np.zeros(3), np.eye(3))
-        with pytest.raises(ValueError):
-            MomentPair(np.zeros(2), np.eye(3))
 
 
 class TestTally:
