@@ -336,7 +336,7 @@ class TestUpdate:
     @staticmethod
     def check_batched_matches_loop(p, q, kinds, seed):
         rng = np.random.default_rng(seed)
-        a, P, mu, Sigma, mu_post, Sigma_post = (
+        a, P, _, Sigma, mu_post, Sigma_post = (
             np.stack(col) for col in zip(*(mixed_row(rng, kind, p, q) for kind in kinds)))
         counters = {}
         out = update(KalmanState(a, P, p, q), Sigma, mu_post, Sigma_post, counters)
@@ -384,7 +384,7 @@ class TestUpdate:
         # on dead (zero Σ) and PSD-projected rows too
         rng = np.random.default_rng(q)
         p, kinds = 3, ["healthy", "zero", "indefinite", "healthy"]
-        a, P, mu, Sigma, mu_post, Sigma_post = (
+        a, P, _, Sigma, mu_post, Sigma_post = (
             np.stack(col) for col in zip(*(mixed_row(rng, kind, p, q) for kind in kinds)))
         n = p + q
         F = np.tile(0.9 * np.eye(n), (len(kinds), 1, 1))
