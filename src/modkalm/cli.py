@@ -46,7 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .enhancer import EnhancerConfig, Mode, diagnose, diagnose_batch
+from .enhancer import EnhancerConfig, Mode, _checked, diagnose, diagnose_batch
 from .metrics import seg_snr
 from .stft import SAMPLE_RATE, read_wav, write_wav
 
@@ -60,7 +60,7 @@ log = logging.getLogger("modkalm.cli")
 # size the benchmark's batch workload (twelve 0.5 s files) peaked 1.8-2.0%
 # above one file at a time in one process (three files per batch:
 # 0.8-1.2%), within half its 5% bound on peak memory.
-BATCH_BYTES = 2 ** 16
+BATCH_BYTES = 2 ** 17
 
 
 class UsageError(ValueError):
@@ -266,7 +266,9 @@ def _mix_at_snr(clean: np.ndarray, noise: np.ndarray, snr_db: float,
                 seed: int = 0, tag: int = 0) -> np.ndarray:
     """Add ``noise`` to ``clean`` so the total-energy ratio is exactly
     ``snr_db``.  Long noise contributes a seeded excerpt; short noise is
-    tiled (with a warning) so every sample of clean gets covered."""
+    tiled (with a warning) so every sample of clean gets covered.  An
+    ``snr_db`` whose noise scale overflows for these signals is a
+    :class:`UsageError`."""
     if noise.size < clean.size:
         log.warning("noise (%d samples) shorter than clean (%d); tiling",
                     noise.size, clean.size)
@@ -282,7 +284,10 @@ def _mix_at_snr(clean: np.ndarray, noise: np.ndarray, snr_db: float,
     e_seg = float(np.sum(seg**2))
     if e_seg == 0.0:
         raise ValueError("noise excerpt is silent; cannot set an SNR")
-    scale = np.sqrt(e_clean / e_seg / 10.0 ** (snr_db / 10.0))
+    with np.errstate(over="ignore"):
+        scale = np.sqrt(e_clean / e_seg / 10.0 ** (snr_db / 10.0))
+    if not np.isfinite(scale):
+        raise UsageError(f"--snr {snr_db} dB gives no finite noise scale for these signals")
     return clean + scale * seg
 
 
@@ -291,6 +296,12 @@ def _bench_one(job: tuple) -> dict:
     clean, rate = read_wav(clean_path, expect_rate=SAMPLE_RATE)
     noise, _ = read_wav(noise_path, expect_rate=rate)
     tag = zlib.crc32(f"{clean_path}|{snr_db:.6f}".encode()) & 0x7FFFFFFF
+    try:
+        # the enhancer's refusals of the clean signal, before the mix: an
+        # empty one would take an empty noise excerpt, refused as silent
+        _checked(clean, rate)
+    except ValueError as err:
+        raise ValueError(f"{clean_path}: {err}") from err
     noisy = _mix_at_snr(clean, noise, snr_db, seed=seed, tag=tag)
     try:
         diag = diagnose(noisy, rate, cfg)

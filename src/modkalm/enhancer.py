@@ -13,10 +13,12 @@ A signal shorter than one frame is refused, silent or not.  The stages pass
 plain arrays, and the amplitude and phase of the STFT are taken once each.
 
 :func:`diagnose_batch` is the one implementation.  It takes the stages up
-to the LPC grids one utterance at a time, then runs a single Kalman frame
-loop over the stacked bins of all its utterances, and each result holds
-the bits that a run on its utterance alone gives.  :func:`diagnose` and
-:func:`enhance` are the batch of one.
+to pre-cleaning (and, in ``mdkr``, the noise model grid) one utterance at a
+time, then runs a single Kalman frame loop over the stacked bins of all its
+utterances, and each result holds the bits that a run on its utterance
+alone gives.  The speech model is fitted in that frame loop, a few
+modulation windows at a time, so no utterance holds a grid of its models.
+:func:`diagnose` and :func:`enhance` are the batch of one.
 """
 from __future__ import annotations
 
@@ -50,6 +52,13 @@ _NOISE_MEAN_CAP = 4.0
 MOD_FRAMES = 8
 SPEECH_ORDER = 3
 NOISE_ORDER = 4
+# modulation windows per speech-model fit in the frame loop.  Over 257
+# rows a call of eight windows costs about twice one of one window (320
+# against 145 us; four, 220 us), so fewer calls are cheaper; but the fit's
+# transient arrays, about 130 bytes per row and window, add to a batch's
+# peak memory with every member, and four windows keep an added 0.5 s
+# member within 0.85 MB (eight: 0.95 MB)
+_FIT_WINDOWS = 4
 
 
 class Mode(enum.Enum):
@@ -102,11 +111,12 @@ def _run(samples, rate: int, cfg: EnhancerConfig) -> Diagnostics:
 def diagnose_batch(signals, rate: int, cfg: EnhancerConfig = EnhancerConfig()) -> list:
     """:func:`diagnose` of each signal of ``signals``, in one pass.
 
-    Each utterance is checked, analysed, noise-tracked, pre-cleaned and
-    given its LPC grids on its own, in the order given, so the first bad
-    one raises before any later one is read from ``signals`` (which may be
-    an iterator).  The Kalman stage then runs one frame loop over the
-    stacked bins of all of them.  Every per-utterance quantity stays per
+    Each utterance is checked, analysed, noise-tracked, pre-cleaned and,
+    in ``mdkr``, given its noise model grid on its own, in the order given,
+    so the first bad one raises before any later one is read from
+    ``signals`` (which may be an iterator).  The Kalman stage then runs one
+    frame loop over the stacked bins of all of them, fitting the speech
+    model as it goes.  Every per-utterance quantity stays per
     row (mean power, floors, model rows, counters), and every step of the
     loop acts on each row alone, so each :class:`Diagnostics` holds the
     bits that a run of its utterance alone gives.
@@ -157,8 +167,9 @@ def _checked(samples, rate: int) -> np.ndarray:
 
 
 class _Member:
-    """One utterance of a Kalman batch: what the frame loop reads of it
-    (its grids, fitted here on its own) and what it writes for it."""
+    """One utterance of a Kalman batch: what the frame loop reads of it and
+    what it writes for it.  Its noise grid (mdkr) is fitted here on its own;
+    its speech model is fitted in the frame loop."""
 
     def __init__(self, n_samples: int, X, amps, phase, psd, vad, pre, mode: Mode,
                  counters: dict):
@@ -167,22 +178,14 @@ class _Member:
         self.amps, self.phase, self.psd = amps, phase, psd
         self.values = X if ring else None
         n_frames, n_bins = self.amps.shape
-        self.sp_c, self.sp_v = speech_lpc_grid(pre, MOD_FRAMES, SPEECH_ORDER)
-        self.jmap = frame_model_index(n_frames, MOD_FRAMES, self.sp_c.shape[0])
         if ring:
             self.nz_c, self.nz_v = noise_lpc_grid(amps, vad, MOD_FRAMES, NOISE_ORDER)
         self.mean_power = float(np.mean(self.amps ** 2))
         self.g_speech = np.zeros((n_frames, n_bins), dtype=np.int16) if ring else None
         self.g_noise = np.zeros((n_frames, n_bins), dtype=np.int16) if ring else None
-
-        p = SPEECH_ORDER
-        preds = np.zeros_like(pre)
-        for n in range(p, n_frames):
-            hist = pre[n - p:n][::-1]           # newest history first
-            preds[n] = -np.einsum("ki,ik->k", self.sp_c[self.jmap[n]], hist)
-        self.gains = prediction_gain(pre[p:], preds[p:])
-        # the estimates overwrite the pre-cleaned grid frame by frame; a
-        # reset row reads its pre-cleaned amplitude before that
+        self.gains = None  # per-bin prediction gain, set by the frame loop
+        # the estimates overwrite the pre-cleaned grid frame by frame; the
+        # frame loop reads each row before that
         self.amps_hat = pre
 
 def _init_rows(amp0, psd0, p: int, q: int, diffuse):
@@ -223,17 +226,27 @@ def _kalman_frames(members: list, q: int) -> None:
     that prefix: a slice that keeps its C order.  Counters go to
     :func:`tally` as the live members' dicts, which split each row mask in
     equal consecutive shares; a ring cell gets its own member's dict.
+
+    The speech model is fitted here.  When frame n's modulation window is
+    past the fitted ones, one :func:`speech_lpc_grid` call over the live
+    rows fits the next ``_FIT_WINDOWS`` windows, fewer where the shortest
+    live member ends; each window's fit has the bits of the whole grid's.
+    Rows from frame n on are read from the members' pre-cleaned grids, and
+    earlier rows, which the estimates have overwritten, from ``held``, the
+    last ``MOD_FRAMES`` pre-cleaned rows.  The prediction-gain sums run per
+    row as the frames go, adding the frames in order as a sum down the
+    whole grid would.
     """
     members = sorted(members, key=lambda m: -m.amps.shape[0])
-    n_bins = members[0].amps.shape[1]
+    n_frames, n_bins = members[0].amps.shape
     p = SPEECH_ORDER
     dim = p + q
     mean_power = np.repeat([m.mean_power for m in members], n_bins)
     sfloor = _SPEECH_FLOOR_REL * mean_power + _ABS_FLOOR
     nfloor = _NOISE_FLOOR_REL * mean_power + _ABS_FLOOR
-    a0, P0 = _init_rows(np.concatenate([m.amps[0] for m in members]),
-                        np.concatenate([m.psd[0] for m in members]), p, q, mean_power)
-    state = KalmanState(a0, P0, p, q)
+    state = KalmanState(*_init_rows(np.concatenate([m.amps[0] for m in members]),
+                                    np.concatenate([m.psd[0] for m in members]), p, q,
+                                    mean_power), p, q)
 
     rows = len(members) * n_bins
     F = np.zeros((rows, dim, dim))
@@ -244,20 +257,41 @@ def _kalman_frames(members: list, q: int) -> None:
     W = np.zeros((rows, dim, dim))
     cell_counters = [m.counters for m in members for _ in range(n_bins)]
     info: dict = {}
+    # a live member has more than n frames, so frame n's window exists in
+    # each of them: one index serves them all
+    jmap = frame_model_index(n_frames, MOD_FRAMES, n_frames - MOD_FRAMES + 1)
+    held = np.empty((MOD_FRAMES, rows))  # pre-cleaned row n at n % MOD_FRAMES
+    power, err_power = np.zeros(rows), np.zeros(rows)
+    j0, sp_c, sp_v = 0, np.empty((0, rows, p)), np.empty((0, rows))  # windows j0, j0 + 1, ...
 
-    for n in range(members[0].amps.shape[0]):
+    for n in range(n_frames):
         live = [m for m in members if m.amps.shape[0] > n]
         L = len(live) * n_bins
         if L < state.a.shape[0]:
             state = KalmanState(state.a[:L], state.P[:L], p, q)
         split = [m.counters for m in live]
-        js = [m.jmap[n] for m in live]
-        np.negative(np.concatenate([m.sp_c[j] for m, j in zip(live, js)]), out=F[:L, 0, :p])
-        W[:L, 0, 0] = np.concatenate([m.sp_v[j] for m, j in zip(live, js)])
+        pre = np.concatenate([m.amps_hat[n] for m in live])
+        held[n % MOD_FRAMES, :L] = pre
+        j = jmap[n]
+        if j >= j0 + sp_c.shape[0]:
+            w = min(_FIT_WINDOWS, live[-1].amps.shape[0] - MOD_FRAMES + 1 - j)
+            seg = np.empty((w + MOD_FRAMES - 1, L))
+            seg[:n - j] = held[[t % MOD_FRAMES for t in range(j, n)], :L]
+            for i, m in enumerate(live):
+                seg[n - j:, i * n_bins:(i + 1) * n_bins] = m.amps_hat[n:j + w + MOD_FRAMES - 1]
+            del sp_c, sp_v  # so the fit does not hold the last windows beside its own
+            sp_c, sp_v = speech_lpc_grid(seg, MOD_FRAMES, p)
+            j0 = j
+        np.negative(sp_c[j - j0, :L], out=F[:L, 0, :p])
+        W[:L, 0, 0] = sp_v[j - j0, :L]
+        if n >= p:
+            hist = held[[t % MOD_FRAMES for t in range(n - p, n)], :L][::-1]  # newest first
+            pred = -np.einsum("ki,ik->k", sp_c[j - j0, :L], hist)
+            power[:L] += pre ** 2
+            err_power[:L] += (pre - pred) ** 2
         if q:
-            np.negative(np.concatenate([m.nz_c[j] for m, j in zip(live, js)]),
-                        out=F[:L, p, p:])
-            W[:L, p, p] = np.concatenate([m.nz_v[j] for m, j in zip(live, js)])
+            np.negative(np.concatenate([m.nz_c[j] for m in live]), out=F[:L, p, p:])
+            W[:L, p, p] = np.concatenate([m.nz_v[j] for m in live])
         amps = np.concatenate([m.amps[n] for m in live])
         psd = np.concatenate([m.psd[n] for m in live])
 
@@ -318,10 +352,13 @@ def _kalman_frames(members: list, q: int) -> None:
         row_bad = bad | _nonfinite_rows(state.a, state.P)
         est = np.maximum(post_mu[:, 0], 0.0)
         if row_bad.any():
-            est[row_bad] = np.concatenate([m.amps_hat[n] for m in live])[row_bad]
+            est[row_bad] = pre[row_bad]
             ra, rp = _init_rows(amps[row_bad], psd[row_bad], p, q, mean_power[:L][row_bad])
             state.a[row_bad] = ra
             state.P[row_bad] = rp
             tally(split, "cell_faults", row_bad)
         for i, m in enumerate(live):
             m.amps_hat[n] = est[i * n_bins:(i + 1) * n_bins]
+    for i, m in enumerate(members):
+        own = slice(i * n_bins, (i + 1) * n_bins)
+        m.gains = prediction_gain(sums=(power[own], err_power[own]))

@@ -67,6 +67,8 @@ def levinson_grid(r: np.ndarray, order: int):
     c = np.zeros((B, order))
     alive = err > 0
     err[~alive] = 0.0
+    # whole columns step under np.where masks: a row that is not ok keeps
+    # its values, and k is zeroed there so the discarded arithmetic stays finite
     for i in range(1, order + 1):
         dot = np.zeros(B)
         for t in range(i - 1):
@@ -74,12 +76,14 @@ def levinson_grid(r: np.ndarray, order: int):
         with np.errstate(divide="ignore", invalid="ignore"):
             k = (r[:, i] - dot) / err
         ok = alive & np.isfinite(k) & (np.abs(k) < 1.0)
+        k = np.where(ok, k, 0.0)
         if i > 1:
-            c[ok, : i - 1] -= k[ok, None] * c[ok, i - 2::-1]
-        c[ok, i - 1] = k[ok]
-        err[ok] *= 1.0 - k[ok] ** 2
+            c[:, : i - 1] = np.where(ok[:, None], c[:, : i - 1] - k[:, None] * c[:, i - 2::-1],
+                                     c[:, : i - 1])
+        c[:, i - 1] = k
+        err = np.where(ok, err * (1.0 - k ** 2), err)
         dead = ok & (err <= 0.0)
-        err[dead] = 0.0
+        err = np.where(dead, 0.0, err)
         alive = ok & ~dead
     return -c, np.maximum(err, 0.0)
 
@@ -168,18 +172,22 @@ def frame_model_index(n_frames: int, mod_frames: int, n_windows: int) -> np.ndar
     return np.clip(np.arange(n_frames) - mod_frames + 1, 0, n_windows - 1)
 
 
-def prediction_gain(clean_amps, predicted_amps) -> np.ndarray:
+def prediction_gain(clean_amps=None, predicted_amps=None, *, sums=None) -> np.ndarray:
     """Per-bin ratio of track power to prediction-error power, in dB.
 
-    Expectations run over acoustic frames; an exact prediction yields +inf
-    for that bin.
+    The powers are sums over the acoustic frames (axis 0) of the (frames,
+    bins) grids ``clean_amps`` and ``predicted_amps``; a frame loop that
+    keeps no grids passes its running per-bin sums of clean**2 and
+    (clean - predicted)**2 as ``sums`` instead.  An exact prediction yields
+    +inf for that bin.
     """
-    clean = np.asarray(clean_amps, dtype=float)
-    pred = np.asarray(predicted_amps, dtype=float)
-    if clean.shape != pred.shape:
-        raise ValueError("grids must have equal shapes")
-    num = np.sum(clean ** 2, axis=0)
-    den = np.sum((clean - pred) ** 2, axis=0)
+    if sums is None:
+        clean = np.asarray(clean_amps, dtype=float)
+        pred = np.asarray(predicted_amps, dtype=float)
+        if clean.shape != pred.shape:
+            raise ValueError("grids must have equal shapes")
+        sums = np.sum(clean ** 2, axis=0), np.sum((clean - pred) ** 2, axis=0)
+    num, den = sums
     with np.errstate(divide="ignore", invalid="ignore"):
         gain = 10.0 * np.log10(num / den)
     gain = np.where((den == 0) & (num > 0), np.inf, gain)

@@ -57,6 +57,21 @@ def add_white(speech: np.ndarray, seed: int, snr_db: float) -> np.ndarray:
     return speech + noise
 
 
+@pytest.fixture(scope="module")
+def mdkr_runs():
+    """``diagnose`` in ``mdkr`` of ``add_white(bench_signal(seed), seed,
+    snr)``, run once per module: criteria 11 and 12 both read seeds 0-5 at
+    0 dB."""
+    runs = {}
+
+    def run(seed: int, snr: float):
+        if (seed, snr) not in runs:
+            runs[seed, snr] = diagnose(add_white(bench_signal(seed), seed, snr), RATE,
+                                       EnhancerConfig(mode=Mode.MDKR))
+        return runs[seed, snr]
+    return run
+
+
 def ring_pdf(model, S: np.ndarray) -> np.ndarray:
     dens = np.zeros(S.shape)
     for o in model.means:
@@ -360,7 +375,7 @@ def test_criterion_10_modulation_prediction_gain():
     assert frac >= 0.9, f"only {frac:.3f} of bins exceed 10 dB"
 
 
-def test_criterion_11_end_to_end_segsnr_improvement():
+def test_criterion_11_end_to_end_segsnr_improvement(mdkr_runs):
     """Both trackers must add at least 2 dB segmental SNR at 0 dB input over
     20 seeded trials, and the ring tracker must stay within 0.2 dB of the
     scalar tracker or better."""
@@ -370,7 +385,10 @@ def test_criterion_11_end_to_end_segsnr_improvement():
         noisy = add_white(clean, seed, 0.0)
         base = seg_snr(clean, noisy).mean
         for mode in imp:
-            out = enhance(noisy, RATE, EnhancerConfig(mode=mode))
+            if mode is Mode.MDKR:
+                out = mdkr_runs(seed, 0.0).enhanced
+            else:
+                out = enhance(noisy, RATE, EnhancerConfig(mode=mode))
             imp[mode].append(seg_snr(clean, out).mean - base)
     mdkm = float(np.mean(imp[Mode.MDKM]))
     mdkr = float(np.mean(imp[Mode.MDKR]))
@@ -379,16 +397,14 @@ def test_criterion_11_end_to_end_segsnr_improvement():
     assert mdkr >= mdkm - 0.2, f"ring {mdkr:+.3f} dB vs scalar {mdkm:+.3f} dB"
 
 
-def test_criterion_12_component_count_trend_with_snr():
+def test_criterion_12_component_count_trend_with_snr(mdkr_runs):
     """Across −5/0/+5 dB the pooled median speech component count must not
     fall and the pooled median noise component count must not rise."""
-    cfg = EnhancerConfig(mode=Mode.MDKR)
     med_s, med_n = [], []
     for snr in (-5.0, 0.0, 5.0):
         g_s, g_n = [], []
         for seed in range(6):
-            clean = bench_signal(seed)
-            diag = diagnose(add_white(clean, seed, snr), RATE, cfg)
+            diag = mdkr_runs(seed, snr)
             g_s.append(diag.g_speech.ravel())
             g_n.append(diag.g_noise.ravel())
         med_s.append(float(np.median(np.concatenate(g_s))))

@@ -236,9 +236,9 @@ class TestEnhanceBatches:
         assert sizes == (batched if mode is Mode.MDKM else [1] * len(paths))
 
     @pytest.mark.parametrize("files, workers, sizes", [
-        (9, 1, [3, 3, 3]), (4, 4, [1, 1, 1, 1]), (12, 4, [3, 3, 3, 3]), (5, 2, [3, 2]),
-        (2, 4, [1, 1]), (12, 2, [3, 3, 3, 3]), (4, 1, [4])])
-    def test_budget_takes_four_half_second_files_and_every_worker_a_batch(
+        (9, 1, [5, 4]), (4, 4, [1, 1, 1, 1]), (12, 4, [3, 3, 3, 3]), (5, 2, [3, 2]),
+        (2, 4, [1, 1]), (12, 2, [6, 6]), (4, 1, [4]), (8, 1, [8])])
+    def test_budget_takes_eight_half_second_files_and_every_worker_a_batch(
             self, tmp_path, files, workers, sizes):
         path = tmp_path / "half.wav"
         write_wav(path, np.zeros(RATE // 2), RATE)
@@ -583,6 +583,29 @@ class TestBenchCommand:
             err = capsys.readouterr().err
             assert "finite" in err and "--snr" in err
             assert not (tmp_path / "bench.csv").exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_snr_whose_noise_scale_overflows_is_usage_error(self, wavs, tmp_path, capsys,
+                                                            workers):
+        # -3200 dB passes as a power ratio (1e-320 is subnormal), but the
+        # noise scale that the mix forms from it overflows
+        rc = main(["bench", str(wavs / "in.wav"), "--noise", str(wavs / "noise_long.wav"),
+                   "--snr", "0", "-3200", "--mode", "logmmse", "--workers", workers,
+                   "-o", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: --snr -3200.0 dB gives no finite noise scale for these signals\n"
+        assert not (tmp_path / "bench.csv").exists()
+
+    def test_empty_clean_file_exits_1_naming_it(self, wavs, tmp_path, capsys):
+        # checked before the mix, which would refuse its empty noise excerpt
+        # as silent
+        empty = tmp_path / "empty.wav"
+        write_wav(empty, np.zeros(0), RATE)
+        rc = main(["bench", str(empty), "--noise", str(wavs / "noise_long.wav"),
+                   "--mode", "logmmse", "--workers", "1", "-o", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {empty}: signal is empty\n"
 
     @pytest.mark.parametrize("bad_first", [True, False], ids=["bad-first", "bad-second"])
     def test_short_clean_file_exits_1_naming_it_in_either_share(self, wavs, tmp_path,

@@ -1,4 +1,5 @@
 """End-to-end tests for the modulation-domain Kalman enhancer."""
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -304,6 +305,26 @@ class TestBatch:
         with pytest.raises(ValueError, match="signal is empty"):
             diagnose_batch(signals(), RATE, EnhancerConfig(mode=Mode.MDKM))
         assert read == [4000, 0]
+
+
+    def test_an_added_half_second_member_raises_the_peak_by_at_most_085_mb(self):
+        # what cli.BATCH_BYTES is set from: a member holds its spectra, and
+        # the frame loop its rows and a few windows' speech-model fits, not
+        # a grid of models
+        cfg = EnhancerConfig(mode=Mode.MDKM)
+        members = [add_white(voiced_babble(60 + i, dur=0.5), 60 + i, 0.0) for i in range(6)]
+        diagnose_batch(members[:1], RATE, cfg)  # first-call allocations
+
+        def peak(count: int) -> int:
+            tracemalloc.start()
+            try:
+                diagnose_batch(members[:count], RATE, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        per_member = (peak(6) - peak(3)) / 3
+        assert per_member <= 0.85e6, f"{per_member / 1e6:.3f} MB per added member"
 
 
 class TestRingCellCall:
