@@ -52,14 +52,17 @@ from .stft import SAMPLE_RATE, read_wav, write_wav
 
 log = logging.getLogger("modkalm.cli")
 
-# WAV bytes per enhance batch: four 0.5 s files of 16 kHz 16-bit audio
-# with their headers (4 x 16,044 bytes), not five.  One Kalman frame loop
+# WAV bytes per enhance batch: eight 0.5 s files of 16 kHz 16-bit audio
+# with their headers (8 x 16,044 bytes), not nine.  One Kalman frame loop
 # over a batch's stacked bins costs less per cell than a file at a time,
-# but the batch holds the spectra and model grids of all its files at once,
-# about 1.1 MB per 0.5 s of audio, in each process that runs one.  At this
-# size the benchmark's batch workload (twelve 0.5 s files) peaked 1.8-2.0%
-# above one file at a time in one process (three files per batch:
-# 0.8-1.2%), within half its 5% bound on peak memory.
+# but the batch holds the spectra of all its files at once.  Traced with
+# tracemalloc, an mdkm batch of 0.5 s files peaks at 2.75, 4.91 and
+# 6.45 MB for 3, 6 and 8 files, 0.72 MB a file (with a grid of speech
+# models per file, as before the frame loop fitted them: 4.89 MB for 3
+# files, 1.07 MB a file).  Twelve 0.5 s files, run twice through a
+# logmmse call and an mdkm call on two processes, peaked at 62.4-62.8 MB
+# of resident memory in the calling process at this size (two batches of
+# six), against 63.0-63.2 MB at 2 ** 16 with the grids (four of three).
 BATCH_BYTES = 2 ** 17
 
 

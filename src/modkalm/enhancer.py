@@ -52,13 +52,13 @@ _NOISE_MEAN_CAP = 4.0
 MOD_FRAMES = 8
 SPEECH_ORDER = 3
 NOISE_ORDER = 4
-# modulation windows per speech-model fit in the frame loop.  Over 257
-# rows a call of eight windows costs about twice one of one window (320
-# against 145 us; four, 220 us), so fewer calls are cheaper; but the fit's
-# transient arrays, about 130 bytes per row and window, add to a batch's
-# peak memory with every member, and four windows keep an added 0.5 s
-# member within 0.85 MB (eight: 0.95 MB)
-_FIT_WINDOWS = 4
+# (row, window) pairs per speech-model fit in the frame loop: eight
+# windows of one utterance's bins.  Over 257 rows a fit of eight windows
+# costs about twice one of one window (320 against 145 us), so a lone
+# utterance takes eight a call; a batch of more rows takes fewer windows a
+# call, so the fit's transient arrays (about 130 bytes a pair) do not grow
+# with the batch
+_FIT_PAIRS = MOD_FRAMES * (FRAME_LEN // 2 + 1)
 
 
 class Mode(enum.Enum):
@@ -217,6 +217,19 @@ def _nonfinite_rows(v: np.ndarray, M: np.ndarray) -> np.ndarray:
     return ~(np.isfinite(v).all(axis=1) & np.isfinite(M).all(axis=(1, 2)))
 
 
+def _fit_speech(live: list, held: np.ndarray, n: int, j: int, w: int):
+    """Speech models of modulation windows j .. j + w - 1 over the stacked
+    rows of ``live``, fitted at frame n >= j: the pre-cleaned rows before
+    frame n come from ``held`` (row t at t % MOD_FRAMES), the rest from the
+    members' grids, which the estimates have not reached yet."""
+    n_bins = live[0].amps.shape[1]
+    seg = np.empty((w + MOD_FRAMES - 1, len(live) * n_bins))
+    seg[:n - j] = held[[t % MOD_FRAMES for t in range(j, n)], :seg.shape[1]]
+    for i, m in enumerate(live):
+        seg[n - j:, i * n_bins:(i + 1) * n_bins] = m.amps_hat[n:j + w + MOD_FRAMES - 1]
+    return speech_lpc_grid(seg, MOD_FRAMES, SPEECH_ORDER)
+
+
 def _kalman_frames(members: list, q: int) -> None:
     """The one Kalman frame loop, over the stacked bins of ``members``.
 
@@ -229,13 +242,12 @@ def _kalman_frames(members: list, q: int) -> None:
 
     The speech model is fitted here.  When frame n's modulation window is
     past the fitted ones, one :func:`speech_lpc_grid` call over the live
-    rows fits the next ``_FIT_WINDOWS`` windows, fewer where the shortest
-    live member ends; each window's fit has the bits of the whole grid's.
-    Rows from frame n on are read from the members' pre-cleaned grids, and
-    earlier rows, which the estimates have overwritten, from ``held``, the
-    last ``MOD_FRAMES`` pre-cleaned rows.  The prediction-gain sums run per
-    row as the frames go, adding the frames in order as a sum down the
-    whole grid would.
+    rows fits the next windows, as many as ``_FIT_PAIRS`` allows and fewer
+    where the shortest live member ends; each window's fit has the bits of
+    the whole grid's.  ``held`` keeps the last ``MOD_FRAMES`` pre-cleaned
+    rows, which the estimates overwrite in the members' grids.  The
+    prediction-gain sums run per row as the frames go, adding the frames
+    in order as a sum down the whole grid would.
     """
     members = sorted(members, key=lambda m: -m.amps.shape[0])
     n_frames, n_bins = members[0].amps.shape
@@ -274,13 +286,9 @@ def _kalman_frames(members: list, q: int) -> None:
         held[n % MOD_FRAMES, :L] = pre
         j = jmap[n]
         if j >= j0 + sp_c.shape[0]:
-            w = min(_FIT_WINDOWS, live[-1].amps.shape[0] - MOD_FRAMES + 1 - j)
-            seg = np.empty((w + MOD_FRAMES - 1, L))
-            seg[:n - j] = held[[t % MOD_FRAMES for t in range(j, n)], :L]
-            for i, m in enumerate(live):
-                seg[n - j:, i * n_bins:(i + 1) * n_bins] = m.amps_hat[n:j + w + MOD_FRAMES - 1]
+            w = min(max(_FIT_PAIRS // L, 1), live[-1].amps.shape[0] - MOD_FRAMES + 1 - j)
             del sp_c, sp_v  # so the fit does not hold the last windows beside its own
-            sp_c, sp_v = speech_lpc_grid(seg, MOD_FRAMES, p)
+            sp_c, sp_v = _fit_speech(live, held, n, j, w)
             j0 = j
         np.negative(sp_c[j - j0, :L], out=F[:L, 0, :p])
         W[:L, 0, 0] = sp_v[j - j0, :L]
