@@ -56,13 +56,14 @@ log = logging.getLogger("modkalm.cli")
 # with their headers (8 x 16,044 bytes), not nine.  One Kalman frame loop
 # over a batch's stacked bins costs less per cell than a file at a time,
 # but the batch holds the spectra of all its files at once.  Traced with
-# tracemalloc, an mdkm batch of 0.5 s files peaks at 2.75, 4.91 and
-# 6.45 MB for 3, 6 and 8 files, 0.72 MB a file (with a grid of speech
-# models per file, as before the frame loop fitted them: 4.89 MB for 3
-# files, 1.07 MB a file).  Twelve 0.5 s files, run twice through a
-# logmmse call and an mdkm call on two processes, peaked at 62.4-62.8 MB
-# of resident memory in the calling process at this size (two batches of
-# six), against 63.0-63.2 MB at 2 ** 16 with the grids (four of three).
+# tracemalloc, an mdkm batch of 0.5 s files peaks at 2.94, 4.96 and
+# 6.45 MB for 3, 6 and 8 files, 0.68 MB a file from 3 to 6 (with a grid
+# of speech models per file, as before the frame loop fitted them:
+# 4.89 MB for 3 files, 1.07 MB a file).  Twelve 0.5 s files, run twice
+# through a logmmse call and an mdkm call on two processes, peaked at
+# 62.6-62.7 MB of resident memory in the calling process at this size
+# (two batches of six), against 62.8-63.2 MB at 2 ** 16 with the grids
+# (four batches of three).
 BATCH_BYTES = 2 ** 17
 
 

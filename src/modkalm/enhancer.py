@@ -52,13 +52,13 @@ _NOISE_MEAN_CAP = 4.0
 MOD_FRAMES = 8
 SPEECH_ORDER = 3
 NOISE_ORDER = 4
-# (row, window) pairs per speech-model fit in the frame loop: eight
-# windows of one utterance's bins.  Over 257 rows a fit of eight windows
-# costs about twice one of one window (320 against 145 us), so a lone
-# utterance takes eight a call; a batch of more rows takes fewer windows a
-# call, so the fit's transient arrays (about 130 bytes a pair) do not grow
-# with the batch
-_FIT_PAIRS = MOD_FRAMES * (FRAME_LEN // 2 + 1)
+# (row, window) pairs per speech-model fit in the frame loop, about 0.5 MB
+# of the fit's transient arrays at some 130 bytes a pair.  Over 257 rows a
+# fit of eight windows costs about twice one of one window (320 against
+# 145 us), so a fit takes as many windows as this allows (fifteen for one
+# utterance, two for six stacked ones), and its transient arrays do not
+# grow with the batch
+_FIT_PAIRS = 2 ** 12
 
 
 class Mode(enum.Enum):
