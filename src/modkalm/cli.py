@@ -5,12 +5,13 @@ Two subcommands:
 ``modkalm enhance``
     Enhance one or more mono 16-bit WAV files and write
     ``<stem>.enhanced.wav`` next to ``-o``, printing the per-file
-    clamp/fault counters.  In ``mdkm`` mode consecutive files go to the
-    enhancer in batches of up to ``BATCH_BYTES`` of WAV each, cut so that
-    every process runs about the same bytes; a batch's Kalman stages run
-    as one (:func:`modkalm.enhancer.diagnose_batch`), and each
-    file's output and counters are those of a run on that file alone.  The
-    other modes take one file per job.
+    clamp/fault counters.  In ``logmmse`` and ``mdkm`` modes consecutive
+    files go to the enhancer in batches of up to ``BATCH_BYTES`` of WAV
+    each, cut so that every process runs about the same bytes; a batch's
+    pre-cleaning and Kalman stages each run as one frame loop
+    (:func:`modkalm.enhancer.diagnose_batch`), and each file's output and
+    counters are those of a run on that file alone.  ``mdkr`` takes one
+    file per job.
 
 ``modkalm bench``
     Mix a noise file into clean references at exact global SNRs, run the
@@ -46,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .enhancer import EnhancerConfig, Mode, _checked, diagnose, diagnose_batch
+from .enhancer import MAX_PEAK, EnhancerConfig, Mode, _checked, diagnose, diagnose_batch
 from .metrics import seg_snr
 from .stft import SAMPLE_RATE, read_wav, write_wav
 
@@ -252,13 +253,13 @@ def cmd_enhance(ns: argparse.Namespace) -> int:
             raise UsageError(f"{writers[out_path]} and {path} would both write {out_path}")
         writers[out_path] = path
     os.makedirs(ns.out_dir, exist_ok=True)
-    # only mdkm's Kalman stage runs faster stacked: logmmse has none, and
-    # mdkr spends its time in ring cells taken one at a time, so a batch
-    # there only holds more memory
-    if cfg.mode is Mode.MDKM:
-        batches = _batches(paths, ns.workers)
-    else:
+    # the pre-cleaner's and mdkm's frame loops run faster stacked; mdkr
+    # spends its time in ring cells taken one at a time, so a batch there
+    # only holds more memory
+    if cfg.mode is Mode.MDKR:
         batches = [[path] for path in paths]
+    else:
+        batches = _batches(paths, ns.workers)
     jobs = [(batch, cfg, ns.out_dir) for batch in batches]
     for lines in _run_jobs(_enhance_files, jobs, ns.workers):
         for line in lines:
@@ -271,7 +272,8 @@ def _mix_at_snr(clean: np.ndarray, noise: np.ndarray, snr_db: float,
     """Add ``noise`` to ``clean`` so the total-energy ratio is exactly
     ``snr_db``.  Long noise contributes a seeded excerpt; short noise is
     tiled (with a warning) so every sample of clean gets covered.  An
-    ``snr_db`` whose noise scale overflows for these signals is a
+    ``snr_db`` whose noise scale overflows for these signals, or whose mix
+    peaks above the enhancer's :data:`~modkalm.enhancer.MAX_PEAK`, is a
     :class:`UsageError`."""
     if noise.size < clean.size:
         log.warning("noise (%d samples) shorter than clean (%d); tiling",
@@ -292,7 +294,12 @@ def _mix_at_snr(clean: np.ndarray, noise: np.ndarray, snr_db: float,
         scale = np.sqrt(e_clean / e_seg / 10.0 ** (snr_db / 10.0))
     if not np.isfinite(scale):
         raise UsageError(f"--snr {snr_db} dB gives no finite noise scale for these signals")
-    return clean + scale * seg
+    mixed = clean + scale * seg
+    peak = max(mixed.max(), -mixed.min())
+    if peak > MAX_PEAK:
+        raise UsageError(f"--snr {snr_db} dB mixes to a peak of {peak:.4g}, above the "
+                         f"enhancer's bound of {MAX_PEAK:.0e}")
+    return mixed
 
 
 def _bench_one(job: tuple) -> dict:

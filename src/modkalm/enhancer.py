@@ -12,11 +12,12 @@ the model constants below; :class:`EnhancerConfig` chooses only the mode.
 A signal shorter than one frame is refused, silent or not.  The stages pass
 plain arrays, and the amplitude and phase of the STFT are taken once each.
 
-:func:`diagnose_batch` is the one implementation.  It takes the stages up
-to pre-cleaning (and, in ``mdkr``, the noise model grid) one utterance at a
-time, then runs a single Kalman frame loop over the stacked bins of all its
-utterances, and each result holds the bits that a run on its utterance
-alone gives.  The speech model is fitted in that frame loop, a few
+:func:`diagnose_batch` is the one implementation.  It takes analysis and
+noise tracking (and, in ``mdkr``, the noise model grid) one utterance at a
+time, then pre-cleans all its utterances in one log-MMSE frame loop and
+runs a single Kalman frame loop, each over the stacked bins of all of
+them, and each result holds the bits that a run on its utterance alone
+gives.  The speech model is fitted in that frame loop, a few
 modulation windows at a time, so no utterance holds a grid of its models.
 :func:`diagnose` and :func:`enhance` are the batch of one.
 """
@@ -52,6 +53,12 @@ _NOISE_MEAN_CAP = 4.0
 MOD_FRAMES = 8
 SPEECH_ORDER = 3
 NOISE_ORDER = 4
+# the largest sample magnitude the enhancer takes.  On a 0.15 s utterance
+# scaled to a peak of 10^k, mdkr's ring cells start to fault from k = 76
+# (10 of 6,168 cells; all from k = 78), mdkm refuses its posterior from
+# k = 152 and logmmse's output is non-finite by k = 155; at k = 60 none of
+# them faults
+MAX_PEAK = 1e60
 # (row, window) pairs per speech-model fit in the frame loop, about 0.5 MB
 # of the fit's transient arrays at some 130 bytes a pair.  Over 257 rows a
 # fit of eight windows costs about twice one of one window (320 against
@@ -111,15 +118,17 @@ def _run(samples, rate: int, cfg: EnhancerConfig) -> Diagnostics:
 def diagnose_batch(signals, rate: int, cfg: EnhancerConfig = EnhancerConfig()) -> list:
     """:func:`diagnose` of each signal of ``signals``, in one pass.
 
-    Each utterance is checked, analysed, noise-tracked, pre-cleaned and,
-    in ``mdkr``, given its noise model grid on its own, in the order given,
-    so the first bad one raises before any later one is read from
-    ``signals`` (which may be an iterator).  The Kalman stage then runs one
-    frame loop over the stacked bins of all of them, fitting the speech
-    model as it goes.  Every per-utterance quantity stays per
-    row (mean power, floors, model rows, counters), and every step of the
-    loop acts on each row alone, so each :class:`Diagnostics` holds the
-    bits that a run of its utterance alone gives.
+    Each utterance is checked, analysed, noise-tracked and, in ``mdkr``,
+    given its noise model grid on its own, in the order given, so the first
+    bad one raises before any later one is read from ``signals`` (which
+    may be an iterator).  One :func:`logmmse_enhance` frame loop then
+    pre-cleans the stacked bins of all of them, and the Kalman stage runs
+    one frame loop over them, fitting the speech model as it goes; both
+    take the utterances longest first, stepping only the rows still
+    running.  Every per-utterance quantity stays per row (mean power,
+    floors, model rows, counters), and every step of either loop acts on
+    each row alone, so each :class:`Diagnostics` holds the bits that a run
+    of its utterance alone gives.
     """
     results, members = [], []
     for samples in signals:
@@ -128,19 +137,15 @@ def diagnose_batch(signals, rate: int, cfg: EnhancerConfig = EnhancerConfig()) -
         if not np.any(x):
             results.append(Diagnostics(np.zeros_like(x), cfg.mode, counters, None, None, None))
             continue
-        X = analyze(x)
-        amps, phase = np.abs(X), np.angle(X)
-        psd, vad = track_noise(amps)
-        pre = logmmse_enhance(amps, psd)
-        if cfg.mode is Mode.LOGMMSE:
-            out = synthesize(pre, phase, n_samples=x.size)
-            results.append(Diagnostics(out, cfg.mode, counters, None, None, None))
-            continue
-        members.append((len(results), _Member(x.size, X, amps, phase, psd, vad, pre,
-                                              cfg.mode, counters)))
+        members.append((len(results), _Member(x.size, analyze(x), cfg.mode, counters)))
         results.append(None)
-    if members:
-        _kalman_frames([m for _, m in members], NOISE_ORDER if cfg.mode is Mode.MDKR else 0)
+    batch = [m for _, m in members]
+    # the estimates overwrite the pre-cleaned grids frame by frame; the
+    # frame loop reads each row before that
+    for m, pre in zip(batch, logmmse_enhance([m.amps for m in batch], [m.psd for m in batch])):
+        m.amps_hat = pre
+    if batch and cfg.mode is not Mode.LOGMMSE:
+        _kalman_frames(batch, NOISE_ORDER if cfg.mode is Mode.MDKR else 0)
     for i, m in members:
         out = synthesize(m.amps_hat, m.phase, n_samples=m.n_samples)
         results[i] = Diagnostics(out, cfg.mode, m.counters, m.g_speech, m.g_noise, m.gains)
@@ -161,32 +166,35 @@ def _checked(samples, rate: int) -> np.ndarray:
             f"signal has {x.size - int(finite.sum())} non-finite samples "
             f"(NaN or Inf), the first at index {first}; the enhancer needs "
             "finite input")
+    peak = max(x.max(), -x.min())
+    if peak > MAX_PEAK:
+        raise ValueError(f"signal peaks at {peak:.4g}, above the enhancer's bound "
+                         f"of {MAX_PEAK:.0e}")
     if rate != SAMPLE_RATE:
         raise ValueError(f"sample rate {rate} != the enhancer's {SAMPLE_RATE}")
     return x
 
 
 class _Member:
-    """One utterance of a Kalman batch: what the frame loop reads of it and
-    what it writes for it.  Its noise grid (mdkr) is fitted here on its own;
-    its speech model is fitted in the frame loop."""
+    """One utterance of a batch: what the frame loops read of it and what
+    they write for it.  Its spectra, noise track and noise grid (mdkr) are
+    taken here on their own; its speech model is fitted in the Kalman frame
+    loop."""
 
-    def __init__(self, n_samples: int, X, amps, phase, psd, vad, pre, mode: Mode,
-                 counters: dict):
+    def __init__(self, n_samples: int, X, mode: Mode, counters: dict):
         ring = mode is Mode.MDKR
         self.n_samples, self.counters = n_samples, counters
-        self.amps, self.phase, self.psd = amps, phase, psd
+        self.amps, self.phase = np.abs(X), np.angle(X)
+        self.psd, vad = track_noise(self.amps)
         self.values = X if ring else None
         n_frames, n_bins = self.amps.shape
         if ring:
-            self.nz_c, self.nz_v = noise_lpc_grid(amps, vad, MOD_FRAMES, NOISE_ORDER)
-        self.mean_power = float(np.mean(self.amps ** 2))
+            self.nz_c, self.nz_v = noise_lpc_grid(self.amps, vad, MOD_FRAMES, NOISE_ORDER)
         self.g_speech = np.zeros((n_frames, n_bins), dtype=np.int16) if ring else None
         self.g_noise = np.zeros((n_frames, n_bins), dtype=np.int16) if ring else None
         self.gains = None  # per-bin prediction gain, set by the frame loop
-        # the estimates overwrite the pre-cleaned grid frame by frame; the
-        # frame loop reads each row before that
-        self.amps_hat = pre
+        self.amps_hat = None  # the pre-cleaned grid, set by diagnose_batch
+
 
 def _init_rows(amp0, psd0, p: int, q: int, diffuse):
     """Fresh state rows seeded from an observed amplitude and noise power.
@@ -253,7 +261,7 @@ def _kalman_frames(members: list, q: int) -> None:
     n_frames, n_bins = members[0].amps.shape
     p = SPEECH_ORDER
     dim = p + q
-    mean_power = np.repeat([m.mean_power for m in members], n_bins)
+    mean_power = np.repeat([np.mean(m.amps ** 2) for m in members], n_bins)
     sfloor = _SPEECH_FLOOR_REL * mean_power + _ABS_FLOOR
     nfloor = _NOISE_FLOOR_REL * mean_power + _ABS_FLOOR
     state = KalmanState(*_init_rows(np.concatenate([m.amps[0] for m in members]),

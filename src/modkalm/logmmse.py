@@ -102,25 +102,42 @@ def logmmse_gain(xi, gamma_post):
     return np.clip(xi / (1.0 + xi) * np.exp(0.5 * exp1(v)), GAIN_FLOOR, 1.0)
 
 
-def logmmse_enhance(amps: np.ndarray, psd: np.ndarray) -> np.ndarray:
-    """Amplitude grid after log-spectral amplitude gains against ``psd``.
+def logmmse_enhance(amps: list, psd: list) -> list:
+    """The amplitude grids of ``amps`` after log-spectral amplitude gains
+    against the matching noise tracks of ``psd``, one grid per utterance.
 
     A-priori SNR follows the decision-directed recursion: a weighted blend
     of the previous frame's cleaned power over the noise estimate and the
     instantaneous ``max(gamma-1, 0)``.
+
+    One frame loop steps the stacked bins of all the grids.  Taken longest
+    first, the rows still running at frame n are a leading prefix of the
+    stacked rows, so the carried power is cut to that prefix; each frame
+    gathers its live rows and scatters the cleaned ones back.  Every step
+    acts on each row alone, so each grid has the bits of a call on it
+    alone.
     """
-    if psd.shape != amps.shape:
-        raise ValueError("noise track does not match the spectrogram")
-    gamma = amps ** 2 / psd
-    out = np.empty_like(amps)
-    prev_power = None
-    for n in range(amps.shape[0]):
-        inst = np.maximum(gamma[n] - 1.0, 0.0)
+    if len(amps) != len(psd) or any(np.ndim(a) != 2 or np.shape(a) != np.shape(v)
+                                    for a, v in zip(amps, psd)):
+        raise ValueError("noise tracks do not match the spectrograms")
+    order = sorted(range(len(amps)), key=lambda i: -amps[i].shape[0])
+    out = [np.empty_like(a) for a in amps]
+    prev_power = prev_psd = None
+    for n in range(max((a.shape[0] for a in amps), default=0)):
+        live = [i for i in order if amps[i].shape[0] > n]
+        y = np.concatenate([amps[i][n] for i in live])
+        nu2 = np.concatenate([psd[i][n] for i in live])
+        gamma = y ** 2 / nu2
+        inst = np.maximum(gamma - 1.0, 0.0)
         if prev_power is None:
             xi = inst
         else:
-            xi = DD_ALPHA * prev_power / psd[n - 1] + (1.0 - DD_ALPHA) * inst
-        gain = logmmse_gain(xi, gamma[n])
-        out[n] = gain * amps[n]
-        prev_power = out[n] ** 2
+            xi = DD_ALPHA * prev_power[:y.size] / prev_psd[:y.size] + (1.0 - DD_ALPHA) * inst
+        est = logmmse_gain(xi, gamma) * y
+        start = 0
+        for i in live:
+            stop = start + out[i].shape[1]
+            out[i][n] = est[start:stop]
+            start = stop
+        prev_power, prev_psd = est ** 2, nu2
     return out

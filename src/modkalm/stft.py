@@ -82,19 +82,23 @@ def synthesize(amplitudes, phases, n_samples: int) -> np.ndarray:
     n_frames = amp.shape[0]
     win = periodic_hamming(flen)
     frames = np.fft.irfft(amp * np.exp(1j * ph), n=flen, axis=1) * win
-    total = (n_frames - 1) * inc + flen
-    y = np.zeros(total)
-    norm = np.zeros(total)
-    w2 = win * win
-    for i in range(n_frames):
-        s = i * inc
-        y[s:s + flen] += frames[i]
-        norm[s:s + flen] += w2
+    # frame i covers hop blocks i .. i + hops - 1, its part k landing in
+    # block i + k; adding the parts from the last down to the first adds
+    # each sample's frames in frame order, as one frame at a time would
+    hops = flen // inc
+    y = np.zeros((n_frames + hops - 1, inc))
+    norm = np.zeros_like(y)
+    parts = frames.reshape(n_frames, hops, inc)
+    w2 = (win * win).reshape(hops, inc)
+    for k in reversed(range(hops)):
+        y[k:k + n_frames] += parts[:, k]
+        norm[k:k + n_frames] += w2[k]
+    y, norm = y.ravel(), norm.ravel()
     good = norm > 1e-10 * norm.max()
     y[good] /= norm[good]
     y[~good] = 0.0
     end = flen + int(n_samples)
-    if end > total:
+    if end > y.size:
         raise ValueError("n_samples exceeds the synthesized extent")
     return y[flen:end]
 

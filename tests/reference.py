@@ -28,6 +28,8 @@ one cell at a time), so agreement between the two is evidence for both:
   the same bytes.
 - :func:`batch_cuts` is the CLI's batch planner as first written, with a
   list entry for every process asked for, the oracle for ``cli._batches``.
+- :func:`synthesize` is ``stft.synthesize`` with its overlap-add as first
+  written, adding one frame at a time, and scipy's window.
 """
 from __future__ import annotations
 
@@ -51,6 +53,7 @@ from modkalm.gaussring import (
 )
 from modkalm.kalman import psd_project, tally
 from modkalm.lpc import _DIAG_LOAD
+from modkalm.stft import FRAME_INC, FRAME_LEN
 
 
 @dataclass
@@ -477,3 +480,23 @@ def batch_cuts(sizes: list[int], workers: int, budget: int) -> list[int]:
         if all(n <= budget or k == 1 for k, n in zip(cuts, used)):
             return cuts
         count += workers
+
+
+def synthesize(amplitudes, phases, n_samples: int) -> np.ndarray:
+    """Weighted overlap-add of the frames of an amplitude and a phase grid,
+    one frame at a time, divided by the summed squared window where that
+    sum is not negligible, and trimmed to ``n_samples`` after the front
+    padding: ``stft.synthesize`` must return the same bytes."""
+    win = get_window("hamming", FRAME_LEN)
+    frames = np.fft.irfft(amplitudes * np.exp(1j * phases), n=FRAME_LEN, axis=1) * win
+    total = (frames.shape[0] - 1) * FRAME_INC + FRAME_LEN
+    y, norm = np.zeros(total), np.zeros(total)
+    w2 = win * win
+    for i, frame in enumerate(frames):
+        s = i * FRAME_INC
+        y[s:s + FRAME_LEN] += frame
+        norm[s:s + FRAME_LEN] += w2
+    good = norm > 1e-10 * norm.max()
+    y[good] /= norm[good]
+    y[~good] = 0.0
+    return y[FRAME_LEN:FRAME_LEN + n_samples]

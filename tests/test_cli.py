@@ -218,7 +218,8 @@ class TestEnhanceBatches:
             assert (outputs, lines) == expect
 
     @pytest.mark.parametrize("mode", list(Mode))
-    def test_only_mdkm_files_are_batched(self, batch_wavs, tmp_path, monkeypatch, mode):
+    def test_logmmse_and_mdkm_files_are_batched_mdkr_one_a_job(self, batch_wavs, tmp_path,
+                                                                 monkeypatch, mode):
         sizes = []
 
         def spy(signals, rate, cfg):
@@ -233,7 +234,7 @@ class TestEnhanceBatches:
                      "--workers", "1"]) == 0
         batched = [len(b) for b in modkalm.cli._batches(paths, 1)]
         assert max(batched) > 1
-        assert sizes == (batched if mode is Mode.MDKM else [1] * len(paths))
+        assert sizes == ([1] * len(paths) if mode is Mode.MDKR else batched)
 
     @pytest.mark.parametrize("files, workers, sizes", [
         (9, 1, [5, 4]), (4, 4, [1, 1, 1, 1]), (12, 4, [3, 3, 3, 3]), (5, 2, [3, 2]),
@@ -393,9 +394,10 @@ class TestWorkers:
             f"error: {not_wav}: not a WAV file (file does not start with RIFF id)\n")
         assert multiprocessing.active_children() == []
         written = sorted(p.name for p in (tmp_path / "out").iterdir())
-        # the good file ran, or was running, when the bad one failed, unless
-        # it comes after the bad one in a single process
-        assert written == ([] if bad_first and workers == "1" else ["in.enhanced.wav"])
+        # one process takes both files as one batch, which writes nothing
+        # when a member fails; two take a file each, and the good one ran,
+        # or was running, when the bad one failed
+        assert written == ([] if workers == "1" else ["in.enhanced.wav"])
 
     @pytest.mark.parametrize("mode", list(Mode))
     @pytest.mark.parametrize("samples, why", [
@@ -595,6 +597,20 @@ class TestBenchCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert err == "error: --snr -3200.0 dB gives no finite noise scale for these signals\n"
+        assert not (tmp_path / "bench.csv").exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_snr_whose_mix_peaks_above_the_enhancer_bound_is_usage_error(
+            self, wavs, tmp_path, capsys, workers):
+        # -3050 dB gives a finite noise scale, but a mix near 1e152, where
+        # mdkm's posterior fails; the bound refuses it before the enhancer
+        rc = main(["bench", str(wavs / "in.wav"), "--noise", str(wavs / "noise_long.wav"),
+                   "--snr", "0", "-3050", "--mode", "mdkm", "--workers", workers,
+                   "-o", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --snr -3050.0 dB mixes to a peak of ")
+        assert err.endswith(", above the enhancer's bound of 1e+60\n")
         assert not (tmp_path / "bench.csv").exists()
 
     def test_empty_clean_file_exits_1_naming_it(self, wavs, tmp_path, capsys):

@@ -145,6 +145,26 @@ class TestInputContract:
             with pytest.raises(ValueError, match="1 non-finite samples.*index 1234"):
                 run(x, RATE, EnhancerConfig(mode=mode))
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["as-is", "negated"])
+    def test_peak_just_above_the_bound_rejected(self, mode, sign):
+        x = add_white(voiced_babble(1, dur=0.15), 1, 0.0)
+        x *= sign * np.nextafter(enh.MAX_PEAK, np.inf) / np.max(np.abs(x))
+        for run in (enhance, diagnose):
+            with pytest.raises(ValueError, match=r"^signal peaks at 1e\+60, above the "
+                                                 r"enhancer's bound of 1e\+60$"):
+                run(x, RATE, EnhancerConfig(mode=mode))
+
+    def test_mdkr_at_the_bound_has_no_cell_faults(self):
+        # from a peak of about 1e76 the ring cells fault and fall back on
+        # the pre-cleaner
+        x = add_white(voiced_babble(1, dur=0.15), 1, 0.0)
+        x *= enh.MAX_PEAK / np.max(np.abs(x))
+        assert np.max(np.abs(x)) == enh.MAX_PEAK
+        d = diagnose(x, RATE, EnhancerConfig(mode=Mode.MDKR))
+        assert d.counters["cell_faults"] == 0
+        assert np.isfinite(d.enhanced).all()
+
     @pytest.mark.parametrize("bad", ["mdkr", "logmmse", None])
     def test_mode_must_be_a_mode_member(self, bad):
         # the pipeline tells modes apart by identity, so anything but a Mode
@@ -169,7 +189,7 @@ class TestModes:
         X = analyze(y)
         amps = np.abs(X)
         psd, _ = track_noise(amps)
-        ref = synthesize(logmmse_enhance(amps, psd), np.angle(X), n_samples=y.size)
+        ref = synthesize(logmmse_enhance([amps], [psd])[0], np.angle(X), n_samples=y.size)
         assert np.array_equal(out, ref)
 
     @pytest.mark.parametrize("mode", [Mode.MDKM, Mode.MDKR])
@@ -307,11 +327,12 @@ class TestBatch:
         assert read == [4000, 0]
 
 
-    def test_an_added_half_second_member_raises_the_peak_by_at_most_085_mb(self):
+    @pytest.mark.parametrize("mode", [Mode.LOGMMSE, Mode.MDKM])
+    def test_an_added_half_second_member_raises_the_peak_by_at_most_085_mb(self, mode):
         # what cli.BATCH_BYTES is set from: a member holds its spectra, and
-        # the frame loop its rows and a few windows' speech-model fits, not
-        # a grid of models
-        cfg = EnhancerConfig(mode=Mode.MDKM)
+        # the frame loops their rows and a few windows' speech-model fits,
+        # not a grid of models
+        cfg = EnhancerConfig(mode=mode)
         members = [add_white(voiced_babble(60 + i, dur=0.5), 60 + i, 0.0) for i in range(6)]
         diagnose_batch(members[:1], RATE, cfg)  # first-call allocations
 

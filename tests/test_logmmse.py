@@ -179,13 +179,13 @@ class TestEnhance:
     def test_vanishing_noise_passes_signal_through(self):
         t = np.arange(SAMPLE_RATE) / SAMPLE_RATE
         amps = np.abs(analyze(np.sin(2 * np.pi * 440 * t)))
-        out = logmmse_enhance(amps, np.full(amps.shape, 1e-20))
+        out = logmmse_enhance([amps], [np.full(amps.shape, 1e-20)])[0]
         assert np.allclose(out, amps, rtol=1e-9, atol=1e-12)
 
     def test_suppresses_noise_only_regions(self):
         rng = np.random.default_rng(3)
         amps = np.abs(analyze(rng.standard_normal(3 * SAMPLE_RATE) * 0.1))
-        out = logmmse_enhance(amps, track_noise(amps)[0])
+        out = logmmse_enhance([amps], [track_noise(amps)[0]])[0]
         # skip the final frames, which cover the zero back-padding
         amps = amps[200:-8]
         live = amps > 1e-6 * np.median(amps)
@@ -198,14 +198,14 @@ class TestEnhance:
         rng = np.random.default_rng(3)
         amps = np.abs(analyze(rng.standard_normal(SAMPLE_RATE)))
         with pytest.raises(ValueError):
-            logmmse_enhance(amps, np.ones((3, amps.shape[1])))
+            logmmse_enhance([amps], [np.ones((3, amps.shape[1]))])
 
     def test_deterministic(self):
         rng = np.random.default_rng(12)
         sig = rng.standard_normal(SAMPLE_RATE)
         amps = np.abs(analyze(sig))
-        a = logmmse_enhance(amps, track_noise(amps)[0])
-        b = logmmse_enhance(np.abs(analyze(sig)), track_noise(np.abs(analyze(sig)))[0])
+        a = logmmse_enhance([amps], [track_noise(amps)[0]])[0]
+        b = logmmse_enhance([np.abs(analyze(sig))], [track_noise(np.abs(analyze(sig)))[0]])[0]
         assert np.array_equal(a, b)
 
     def test_keeps_modulated_signal_while_cutting_noise(self):
@@ -216,7 +216,7 @@ class TestEnhance:
         speech = gapped_harmonics(n, 0.05, seed=21)
         noisy = speech + rng.standard_normal(n) * 0.02
         amps = np.abs(analyze(noisy))
-        out = logmmse_enhance(amps, track_noise(amps)[0])
+        out = logmmse_enhance([amps], [track_noise(amps)[0]])[0]
         p = np.abs(analyze(speech)) ** 2
         sl = slice(250, -8)  # converged region, clear of the back padding
         strong = p[sl] > 1e-2 * p[sl].max()

@@ -15,6 +15,7 @@ from modkalm.stft import (
     synthesize,
     write_wav,
 )
+import reference
 
 
 class TestFrameConfig:
@@ -117,6 +118,18 @@ class TestSynthesize:
             y = synthesize(np.abs(spect), np.angle(spect), x.size)
             assert y.shape == x.shape
             assert np.max(np.abs(y - x)) < 1e-10
+
+    @pytest.mark.parametrize("n_frames", [1, 2, 3, 4, 5, 9, 68, 181])
+    def test_overlap_add_has_the_bits_of_the_frame_loop(self, n_frames):
+        # the hop blocks are added from the last hop offset down, so each
+        # sample sums its frames in frame order, from the same zero
+        rng = np.random.default_rng(n_frames)
+        amps = rng.exponential(1.0, (n_frames, 257)) * 10.0 ** rng.uniform(-6, 6, (n_frames, 1))
+        amps[rng.random(n_frames) < 0.3] = 0.0
+        phases = rng.uniform(-np.pi, np.pi, amps.shape)
+        n = (n_frames - 1) * FRAME_INC
+        got = synthesize(amps, phases, n)
+        assert got.tobytes() == reference.synthesize(amps, phases, n).tobytes()
 
     def test_zero_amplitudes(self):
         spect = analyze(np.ones(3000))
