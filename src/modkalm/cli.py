@@ -54,17 +54,17 @@ from .stft import SAMPLE_RATE, read_wav, write_wav
 log = logging.getLogger("modkalm.cli")
 
 # WAV bytes per enhance batch: eight 0.5 s files of 16 kHz 16-bit audio
-# with their headers (8 x 16,044 bytes), not nine.  One Kalman frame loop
-# over a batch's stacked bins costs less per cell than a file at a time,
-# but the batch holds the spectra of all its files at once.  Traced with
-# tracemalloc, an mdkm batch of 0.5 s files peaks at 2.94, 4.96 and
-# 6.45 MB for 3, 6 and 8 files, 0.68 MB a file from 3 to 6 (with a grid
-# of speech models per file, as before the frame loop fitted them:
-# 4.89 MB for 3 files, 1.07 MB a file).  Twelve 0.5 s files, run twice
-# through a logmmse call and an mdkm call on two processes, peaked at
-# 62.6-62.7 MB of resident memory in the calling process at this size
-# (two batches of six), against 62.8-63.2 MB at 2 ** 16 with the grids
-# (four batches of three).
+# with their headers (8 x 16,044 bytes), not nine.  One pre-cleaning frame
+# loop and, in mdkm, one Kalman frame loop over a batch's stacked bins
+# cost less per cell than a file at a time, but the batch holds the
+# spectra of all its files at once.  Traced with tracemalloc, a batch of
+# 0.5 s files peaks at 2.66, 4.68 and 6.17 MB in mdkm and at 2.46, 4.36
+# and 5.62 MB in logmmse for 3, 6 and 8 files, 0.68 and 0.63 MB a file
+# from 3 to 6.  Twelve 0.5 s files, run twice through a logmmse call and
+# an mdkm call on two processes, peaked at 62.6-62.7 MB of resident
+# memory in the calling process at this size (two mdkm batches of six),
+# against 62.8-63.2 MB at 2 ** 16 when each file held a grid of speech
+# models (four batches of three).
 BATCH_BYTES = 2 ** 17
 
 

@@ -200,6 +200,16 @@ class TestEnhance:
         with pytest.raises(ValueError):
             logmmse_enhance([amps], [np.ones((3, amps.shape[1]))])
 
+    def test_stacked_grids_get_the_bits_of_solo_calls(self):
+        # unequal lengths in no particular order: each frame steps the rows
+        # still running
+        rng = np.random.default_rng(8)
+        amps = [rng.exponential(1.0, (n, 257)) for n in (5, 40, 1, 40, 17)]
+        psd = [rng.uniform(0.1, 2.0, a.shape) for a in amps]
+        stacked = logmmse_enhance(amps, psd)
+        for a, v, got in zip(amps, psd, stacked):
+            assert got.tobytes() == logmmse_enhance([a], [v])[0].tobytes()
+
     def test_deterministic(self):
         rng = np.random.default_rng(12)
         sig = rng.standard_normal(SAMPLE_RATE)
