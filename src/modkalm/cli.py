@@ -58,8 +58,8 @@ log = logging.getLogger("modkalm.cli")
 # loop and, in mdkm, one Kalman frame loop over a batch's stacked bins
 # cost less per cell than a file at a time, but the batch holds the
 # spectra of all its files at once.  Traced with tracemalloc, a batch of
-# 0.5 s files peaks at 2.66, 4.68 and 6.17 MB in mdkm and at 2.46, 4.36
-# and 5.62 MB in logmmse for 3, 6 and 8 files, 0.68 and 0.63 MB a file
+# 0.5 s files peaks at 2.66, 4.68 and 6.17 MB in mdkm and at 2.25, 3.52
+# and 4.70 MB in logmmse for 3, 6 and 8 files, 0.68 and 0.42 MB a file
 # from 3 to 6.  Twelve 0.5 s files, run twice through a logmmse call and
 # an mdkm call on two processes, peaked at 62.6-62.7 MB of resident
 # memory in the calling process at this size (two mdkm batches of six),

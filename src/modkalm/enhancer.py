@@ -146,6 +146,8 @@ def diagnose_batch(signals, rate: int, cfg: EnhancerConfig = EnhancerConfig()) -
         m.amps_hat = pre
     if batch and cfg.mode is not Mode.LOGMMSE:
         _kalman_frames(batch, NOISE_ORDER if cfg.mode is Mode.MDKR else 0)
+    for m in batch:  # synthesis reads only amps_hat and phase
+        m.amps = m.psd = m.values = None
     for i, m in members:
         out = synthesize(m.amps_hat, m.phase, n_samples=m.n_samples)
         results[i] = Diagnostics(out, cfg.mode, m.counters, m.g_speech, m.g_noise, m.gains)
