@@ -47,7 +47,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .enhancer import MAX_PEAK, EnhancerConfig, Mode, _checked, diagnose, diagnose_batch
+from .enhancer import (
+    MAX_PEAK,
+    EnhancerConfig,
+    Mode,
+    _checked,
+    _over_peak,
+    diagnose,
+    diagnose_batch,
+)
 from .metrics import seg_snr
 from .stft import SAMPLE_RATE, read_wav, write_wav
 
@@ -217,29 +225,44 @@ def _out_path(out_dir: str, path: str) -> str:
     return os.path.join(out_dir, Path(path).stem + ".enhanced.wav")
 
 
+def _read_signal(path: str) -> np.ndarray:
+    """The samples of a WAV file, checked as the enhancer checks them;
+    every error names the file."""
+    samples = read_wav(path, expect_rate=SAMPLE_RATE)[0]  # read_wav's errors name it
+    try:
+        return _checked(samples, SAMPLE_RATE)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
+
+
 def _enhance_files(job: tuple) -> list[str]:
+    """Enhance and write the files of one batch.  A file that cannot be
+    read or enhanced fails the batch.  In ``logmmse`` the files before it
+    are enhanced and written first, as when each file was a job of its
+    own; in ``mdkm`` none of the batch's is."""
     paths, cfg, out_dir = job
-    member = None  # the file the enhancer took last; read_wav's errors name theirs
+    failure = None
 
     def signals():
-        nonlocal member
+        nonlocal failure
         for path in paths:
-            member = None
-            samples = read_wav(path, expect_rate=SAMPLE_RATE)[0]
-            member = path
-            yield samples
-    try:
-        diags = diagnose_batch(signals(), SAMPLE_RATE, cfg)
-    except ValueError as err:
-        if member is None:
-            raise
-        raise ValueError(f"{member}: {err}") from err
+            try:
+                x = _read_signal(path)
+            except (OSError, ValueError) as err:
+                if cfg.mode is not Mode.LOGMMSE:
+                    raise
+                failure = err
+                return
+            yield x
+    diags = diagnose_batch(signals(), SAMPLE_RATE, cfg)
     lines = []
     for path, diag in zip(paths, diags):
         out_path = _out_path(out_dir, path)
         clipped = write_wav(out_path, diag.enhanced, SAMPLE_RATE)
         counters = sorted(dict(diag.counters, saturated=clipped).items())
         lines.append(f"{path} -> {out_path}  " + " ".join(f"{k}={v}" for k, v in counters))
+    if failure is not None:
+        raise failure
     return lines
 
 
@@ -295,8 +318,8 @@ def _mix_at_snr(clean: np.ndarray, noise: np.ndarray, snr_db: float,
     if not np.isfinite(scale):
         raise UsageError(f"--snr {snr_db} dB gives no finite noise scale for these signals")
     mixed = clean + scale * seg
-    peak = max(mixed.max(), -mixed.min())
-    if peak > MAX_PEAK:
+    peak = _over_peak(mixed)
+    if peak is not None:
         raise UsageError(f"--snr {snr_db} dB mixes to a peak of {peak:.4g}, above the "
                          f"enhancer's bound of {MAX_PEAK:.0e}")
     return mixed

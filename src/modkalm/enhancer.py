@@ -139,7 +139,9 @@ def diagnose_batch(signals, rate: int, cfg: EnhancerConfig = EnhancerConfig()) -
             continue
         members.append((len(results), _Member(x.size, analyze(x), cfg.mode, counters)))
         results.append(None)
-    batch = [m for _, m in members]
+    # both frame loops take the members longest first (ties in the order
+    # given), so the rows still running at frame n are a leading prefix
+    batch = sorted((m for _, m in members), key=lambda m: -m.amps.shape[0])
     # the estimates overwrite the pre-cleaned grids frame by frame; the
     # frame loop reads each row before that
     for m, pre in zip(batch, logmmse_enhance([m.amps for m in batch], [m.psd for m in batch])):
@@ -168,13 +170,20 @@ def _checked(samples, rate: int) -> np.ndarray:
             f"signal has {x.size - int(finite.sum())} non-finite samples "
             f"(NaN or Inf), the first at index {first}; the enhancer needs "
             "finite input")
-    peak = max(x.max(), -x.min())
-    if peak > MAX_PEAK:
+    peak = _over_peak(x)
+    if peak is not None:
         raise ValueError(f"signal peaks at {peak:.4g}, above the enhancer's bound "
                          f"of {MAX_PEAK:.0e}")
     if rate != SAMPLE_RATE:
         raise ValueError(f"sample rate {rate} != the enhancer's {SAMPLE_RATE}")
     return x
+
+
+def _over_peak(x: np.ndarray):
+    """The peak magnitude of ``x`` if it is above :data:`MAX_PEAK`, else
+    None."""
+    peak = max(x.max(), -x.min())
+    return peak if peak > MAX_PEAK else None
 
 
 class _Member:
@@ -243,10 +252,10 @@ def _fit_speech(live: list, held: np.ndarray, n: int, j: int, w: int):
 def _kalman_frames(members: list, q: int) -> None:
     """The one Kalman frame loop, over the stacked bins of ``members``.
 
-    The members are taken longest first (ties in the order given), so the
-    rows still running at frame n, each member's bins side by side, are a
-    leading prefix of the stacked rows, and the carried state is cut to
-    that prefix: a slice that keeps its C order.  Counters go to
+    The members come longest first, so the rows still running at frame n,
+    each member's bins side by side, are a leading prefix of the stacked
+    rows, and the carried state is cut to that prefix: a slice that keeps
+    its C order.  Counters go to
     :func:`tally` as the live members' dicts, which split each row mask in
     equal consecutive shares; a ring cell gets its own member's dict.
 
@@ -259,7 +268,6 @@ def _kalman_frames(members: list, q: int) -> None:
     prediction-gain sums run per row as the frames go, adding the frames
     in order as a sum down the whole grid would.
     """
-    members = sorted(members, key=lambda m: -m.amps.shape[0])
     n_frames, n_bins = members[0].amps.shape
     p = SPEECH_ORDER
     dim = p + q

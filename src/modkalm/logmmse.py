@@ -110,34 +110,36 @@ def logmmse_enhance(amps: list, psd: list) -> list:
     of the previous frame's cleaned power over the noise estimate and the
     instantaneous ``max(gamma-1, 0)``.
 
-    One frame loop steps the stacked bins of all the grids.  Taken longest
-    first, the rows still running at frame n are a leading prefix of the
-    stacked rows, so the carried power is cut to that prefix; each frame
-    gathers its live rows and scatters the cleaned ones back.  Every step
-    acts on each row alone, so each grid has the bits of a call on it
-    alone.
+    One frame loop steps the stacked bins of all the grids.  They come
+    longest first, so the rows still running at frame n are a leading
+    prefix of the stacked rows, and the carried power is cut to that
+    prefix; each frame gathers its live rows and copies the cleaned ones
+    back to their grids.  Every step acts on each row alone, so each grid
+    has the bits of a call on it alone.
     """
     if len(amps) != len(psd) or any(np.ndim(a) != 2 or np.shape(a) != np.shape(v)
                                     for a, v in zip(amps, psd)):
         raise ValueError("noise tracks do not match the spectrograms")
-    order = sorted(range(len(amps)), key=lambda i: -amps[i].shape[0])
+    lengths = [a.shape[0] for a in amps]
+    if lengths != sorted(lengths, reverse=True):
+        raise ValueError("spectrograms are not given longest first")
     out = [np.empty_like(a) for a in amps]
-    prev_power = prev_psd = None
-    for n in range(max((a.shape[0] for a in amps), default=0)):
-        live = [i for i in order if amps[i].shape[0] > n]
-        y = np.concatenate([amps[i][n] for i in live])
-        nu2 = np.concatenate([psd[i][n] for i in live])
+    ends = np.cumsum([0] + [a.shape[1] for a in amps]).tolist()
+    rows = [slice(start, stop) for start, stop in zip(ends, ends[1:])]  # each grid's
+    live = len(amps)
+    for n in range(lengths[0] if amps else 0):
+        while lengths[live - 1] <= n:
+            live -= 1
+        y = np.concatenate([a[n] for a in amps[:live]])
+        nu2 = np.concatenate([v[n] for v in psd[:live]])
         gamma = y ** 2 / nu2
         inst = np.maximum(gamma - 1.0, 0.0)
-        if prev_power is None:
+        if n == 0:
             xi = inst
         else:
             xi = DD_ALPHA * prev_power[:y.size] / prev_psd[:y.size] + (1.0 - DD_ALPHA) * inst
         est = logmmse_gain(xi, gamma) * y
-        start = 0
-        for i in live:
-            stop = start + out[i].shape[1]
-            out[i][n] = est[start:stop]
-            start = stop
+        for grid, row in zip(out[:live], rows):
+            grid[n] = est[row]
         prev_power, prev_psd = est ** 2, nu2
     return out

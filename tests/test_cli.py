@@ -259,6 +259,23 @@ class TestEnhanceBatches:
         assert err == f"error: {wavs / 'slow.wav'}: sample rate 8000 != expected 16000\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_logmmse_batch_writes_the_files_before_an_unreadable_one(self, wavs, batch_wavs,
+                                                                      tmp_path, capsys):
+        # one batch, as in mdkm, but the file before the failing one is
+        # written, as when each logmmse file was a job of its own
+        paths = [batch_wavs[Mode.LOGMMSE][0], str(wavs / "slow.wav"),
+                 batch_wavs[Mode.LOGMMSE][1]]
+        assert len(modkalm.cli._batches(paths, 1)) == 1
+        rc = main(["enhance", "--mode", "logmmse", *paths, "-o", str(tmp_path),
+                   "--workers", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {wavs / 'slow.wav'}: sample rate 8000 != expected 16000\n"
+        solo = tmp_path / "solo"
+        assert main(["enhance", "--mode", "logmmse", paths[0], "-o", str(solo)]) == 0
+        [written] = [p for p in tmp_path.iterdir() if p.is_file()]
+        assert written.read_bytes() == (solo / written.name).read_bytes()
+
 
 class InlineExecutor(concurrent.futures.Executor):
     """Stands in for the process pool: records the pool size asked for and
@@ -394,10 +411,9 @@ class TestWorkers:
             f"error: {not_wav}: not a WAV file (file does not start with RIFF id)\n")
         assert multiprocessing.active_children() == []
         written = sorted(p.name for p in (tmp_path / "out").iterdir())
-        # one process takes both files as one batch, which writes nothing
-        # when a member fails; two take a file each, and the good one ran,
-        # or was running, when the bad one failed
-        assert written == ([] if workers == "1" else ["in.enhanced.wav"])
+        # the good file ran, or was running, when the bad one failed, unless
+        # it comes after the bad one in a single process
+        assert written == ([] if bad_first and workers == "1" else ["in.enhanced.wav"])
 
     @pytest.mark.parametrize("mode", list(Mode))
     @pytest.mark.parametrize("samples, why", [

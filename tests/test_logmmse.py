@@ -201,14 +201,19 @@ class TestEnhance:
             logmmse_enhance([amps], [np.ones((3, amps.shape[1]))])
 
     def test_stacked_grids_get_the_bits_of_solo_calls(self):
-        # unequal lengths in no particular order: each frame steps the rows
-        # still running
+        # unequal lengths, longest first with a tie: each frame steps the
+        # rows still running
         rng = np.random.default_rng(8)
-        amps = [rng.exponential(1.0, (n, 257)) for n in (5, 40, 1, 40, 17)]
+        amps = [rng.exponential(1.0, (n, 257)) for n in (40, 40, 17, 5, 1)]
         psd = [rng.uniform(0.1, 2.0, a.shape) for a in amps]
         stacked = logmmse_enhance(amps, psd)
         for a, v, got in zip(amps, psd, stacked):
             assert got.tobytes() == logmmse_enhance([a], [v])[0].tobytes()
+
+    def test_grids_not_longest_first_rejected(self):
+        amps = [np.ones((n, 257)) for n in (5, 40)]
+        with pytest.raises(ValueError, match="not given longest first"):
+            logmmse_enhance(amps, amps)
 
     def test_deterministic(self):
         rng = np.random.default_rng(12)
