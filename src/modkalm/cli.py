@@ -66,8 +66,8 @@ log = logging.getLogger("modkalm.cli")
 # loop and, in mdkm, one Kalman frame loop over a batch's stacked bins
 # cost less per cell than a file at a time, but the batch holds the
 # spectra of all its files at once.  Traced with tracemalloc, a batch of
-# 0.5 s files peaks at 2.66, 4.68 and 6.17 MB in mdkm and at 2.25, 3.52
-# and 4.70 MB in logmmse for 3, 6 and 8 files, 0.68 and 0.42 MB a file
+# 0.5 s files peaks at 2.52, 4.51 and 5.94 MB in mdkm and at 2.25, 3.51
+# and 4.64 MB in logmmse for 3, 6 and 8 files, 0.66 and 0.42 MB a file
 # from 3 to 6.  Twelve 0.5 s files, run twice through a logmmse call and
 # an mdkm call on two processes, peaked at 62.6-62.7 MB of resident
 # memory in the calling process at this size (two mdkm batches of six),
@@ -237,9 +237,8 @@ def _read_signal(path: str) -> np.ndarray:
 
 def _enhance_files(job: tuple) -> list[str]:
     """Enhance and write the files of one batch.  A file that cannot be
-    read or enhanced fails the batch.  In ``logmmse`` the files before it
-    are enhanced and written first, as when each file was a job of its
-    own; in ``mdkm`` none of the batch's is."""
+    read or enhanced fails the batch, after the files before it are
+    enhanced and written, as when each file was a job of its own."""
     paths, cfg, out_dir = job
     failure = None
 
@@ -249,8 +248,6 @@ def _enhance_files(job: tuple) -> list[str]:
             try:
                 x = _read_signal(path)
             except (OSError, ValueError) as err:
-                if cfg.mode is not Mode.LOGMMSE:
-                    raise
                 failure = err
                 return
             yield x
@@ -327,18 +324,14 @@ def _mix_at_snr(clean: np.ndarray, noise: np.ndarray, snr_db: float,
 
 def _bench_one(job: tuple) -> dict:
     clean_path, noise_path, snr_db, mode, cfg, seed = job
-    clean, rate = read_wav(clean_path, expect_rate=SAMPLE_RATE)
-    noise, _ = read_wav(noise_path, expect_rate=rate)
+    # the enhancer's refusals of the clean signal come before the mix: an
+    # empty one would take an empty noise excerpt, refused as silent
+    clean = _read_signal(clean_path)
+    noise = read_wav(noise_path, expect_rate=SAMPLE_RATE)[0]
     tag = zlib.crc32(f"{clean_path}|{snr_db:.6f}".encode()) & 0x7FFFFFFF
-    try:
-        # the enhancer's refusals of the clean signal, before the mix: an
-        # empty one would take an empty noise excerpt, refused as silent
-        _checked(clean, rate)
-    except ValueError as err:
-        raise ValueError(f"{clean_path}: {err}") from err
     noisy = _mix_at_snr(clean, noise, snr_db, seed=seed, tag=tag)
     try:
-        diag = diagnose(noisy, rate, cfg)
+        diag = diagnose(noisy, SAMPLE_RATE, cfg)
     except ValueError as err:
         raise ValueError(f"{clean_path}: {err}") from err
     row = {

@@ -14,8 +14,9 @@ plain arrays, and the amplitude and phase of the STFT are taken once each.
 
 :func:`diagnose_batch` is the one implementation.  It takes analysis and
 noise tracking (and, in ``mdkr``, the noise model grid) one utterance at a
-time, then pre-cleans all its utterances in one log-MMSE frame loop and
-runs a single Kalman frame loop, each over the stacked bins of all of
+time, then stacks its utterances' grids once, longest first, into one row
+per frame of the bins still running (:func:`_stacked`).  One log-MMSE
+frame loop pre-cleans those rows and a single Kalman frame loop steps
 them, and each result holds the bits that a run on its utterance alone
 gives.  The speech model is fitted in that frame loop, a few
 modulation windows at a time, so no utterance holds a grid of its models.
@@ -121,38 +122,35 @@ def diagnose_batch(signals, rate: int, cfg: EnhancerConfig = EnhancerConfig()) -
     Each utterance is checked, analysed, noise-tracked and, in ``mdkr``,
     given its noise model grid on its own, in the order given, so the first
     bad one raises before any later one is read from ``signals`` (which
-    may be an iterator).  One :func:`logmmse_enhance` frame loop then
-    pre-cleans the stacked bins of all of them, and the Kalman stage runs
-    one frame loop over them, fitting the speech model as it goes; both
-    take the utterances longest first, stepping only the rows still
-    running.  Every per-utterance quantity stays per row (mean power,
+    may be an iterator).  Their grids are then stacked longest first
+    (:func:`_stacked`); one :func:`logmmse_enhance` frame loop pre-cleans
+    the rows and one Kalman frame loop steps them, fitting the speech model
+    as it goes, and each utterance's grid is cut from the rows for
+    synthesis.  Every per-utterance quantity stays per row (mean power,
     floors, model rows, counters), and every step of either loop acts on
     each row alone, so each :class:`Diagnostics` holds the bits that a run
     of its utterance alone gives.
     """
-    results, members = [], []
+    results, batch = [], []
     for samples in signals:
         x = _checked(samples, rate)
         counters: dict = {"cell_faults": 0}
         if not np.any(x):
             results.append(Diagnostics(np.zeros_like(x), cfg.mode, counters, None, None, None))
             continue
-        members.append((len(results), _Member(x.size, analyze(x), cfg.mode, counters)))
+        batch.append(_Member(len(results), x.size, analyze(x), cfg.mode, counters))
         results.append(None)
-    # both frame loops take the members longest first (ties in the order
-    # given), so the rows still running at frame n are a leading prefix
-    batch = sorted((m for _, m in members), key=lambda m: -m.amps.shape[0])
-    # the estimates overwrite the pre-cleaned grids frame by frame; the
-    # frame loop reads each row before that
-    for m, pre in zip(batch, logmmse_enhance([m.amps for m in batch], [m.psd for m in batch])):
-        m.amps_hat = pre
+    batch.sort(key=lambda m: -m.phase.shape[0])  # ties stay in the order given
+    amps, psd = _stacked(batch, "amps"), _stacked(batch, "psd")
+    rows = logmmse_enhance(amps, psd)
     if batch and cfg.mode is not Mode.LOGMMSE:
-        _kalman_frames(batch, NOISE_ORDER if cfg.mode is Mode.MDKR else 0)
-    for m in batch:  # synthesis reads only amps_hat and phase
-        m.amps = m.psd = m.values = None
-    for i, m in members:
-        out = synthesize(m.amps_hat, m.phase, n_samples=m.n_samples)
-        results[i] = Diagnostics(out, cfg.mode, m.counters, m.g_speech, m.g_noise, m.gains)
+        ring = cfg.mode is Mode.MDKR
+        values = _stacked(batch, "values") if ring else None
+        rows = _kalman_frames(batch, amps, psd, rows, values, NOISE_ORDER if ring else 0)
+    del amps, psd
+    for i, m in enumerate(batch):
+        out = synthesize(_unstacked(rows, i, m.phase.shape), m.phase, n_samples=m.n_samples)
+        results[m.index] = Diagnostics(out, cfg.mode, m.counters, m.g_speech, m.g_noise, m.gains)
     return results
 
 
@@ -187,24 +185,41 @@ def _over_peak(x: np.ndarray):
 
 
 class _Member:
-    """One utterance of a batch: what the frame loops read of it and what
-    they write for it.  Its spectra, noise track and noise grid (mdkr) are
-    taken here on their own; its speech model is fitted in the Kalman frame
-    loop."""
+    """Result ``index`` of a batch: its spectra, noise track and noise grid
+    (mdkr), taken here on their own until :func:`_stacked` takes the grids,
+    and what the Kalman frame loop reports for it."""
 
-    def __init__(self, n_samples: int, X, mode: Mode, counters: dict):
+    def __init__(self, index: int, n_samples: int, X, mode: Mode, counters: dict):
         ring = mode is Mode.MDKR
-        self.n_samples, self.counters = n_samples, counters
+        self.index, self.n_samples, self.counters = index, n_samples, counters
         self.amps, self.phase = np.abs(X), np.angle(X)
         self.psd, vad = track_noise(self.amps)
         self.values = X if ring else None
-        n_frames, n_bins = self.amps.shape
+        self.mean_power = np.mean(self.amps ** 2)
         if ring:
             self.nz_c, self.nz_v = noise_lpc_grid(self.amps, vad, MOD_FRAMES, NOISE_ORDER)
-        self.g_speech = np.zeros((n_frames, n_bins), dtype=np.int16) if ring else None
-        self.g_noise = np.zeros((n_frames, n_bins), dtype=np.int16) if ring else None
-        self.gains = None  # per-bin prediction gain, set by the frame loop
-        self.amps_hat = None  # the pre-cleaned grid, set by diagnose_batch
+        self.g_speech = self.g_noise = self.gains = None  # set by the Kalman loop
+
+
+def _stacked(members: list, name: str) -> list:
+    """The ``name`` grids of ``members``, (frames, bins) each and longest
+    first, as one 1-D row per frame: the frame's bins of the members still
+    running at it, side by side, so each row is a leading part of the row
+    before it.  The members drop the grids, each freed once copied."""
+    grids = [vars(m).pop(name) for m in members]
+    rows = []
+    for n in range(grids[0].shape[0] if grids else 0):
+        while grids[-1].shape[0] <= n:
+            grids.pop()
+        rows.append(np.concatenate([g[n] for g in grids]))
+    return rows
+
+
+def _unstacked(rows: list, i: int, shape) -> np.ndarray:
+    """The (frames, bins) ``shape`` grid that member ``i`` of a
+    :func:`_stacked` batch has in ``rows``."""
+    n_frames, n_bins = shape
+    return np.array([row[i * n_bins:(i + 1) * n_bins] for row in rows[:n_frames]])
 
 
 def _init_rows(amp0, psd0, p: int, q: int, diffuse):
@@ -236,47 +251,31 @@ def _nonfinite_rows(v: np.ndarray, M: np.ndarray) -> np.ndarray:
     return ~(np.isfinite(v).all(axis=1) & np.isfinite(M).all(axis=(1, 2)))
 
 
-def _fit_speech(live: list, held: np.ndarray, n: int, j: int, w: int):
-    """Speech models of modulation windows j .. j + w - 1 over the stacked
-    rows of ``live``, fitted at frame n >= j: the pre-cleaned rows before
-    frame n come from ``held`` (row t at t % MOD_FRAMES), the rest from the
-    members' grids, which the estimates have not reached yet."""
-    n_bins = live[0].amps.shape[1]
-    seg = np.empty((w + MOD_FRAMES - 1, len(live) * n_bins))
-    seg[:n - j] = held[[t % MOD_FRAMES for t in range(j, n)], :seg.shape[1]]
-    for i, m in enumerate(live):
-        seg[n - j:, i * n_bins:(i + 1) * n_bins] = m.amps_hat[n:j + w + MOD_FRAMES - 1]
-    return speech_lpc_grid(seg, MOD_FRAMES, SPEECH_ORDER)
+def _kalman_frames(members: list, amps: list, psd: list, pre: list, values, q: int) -> list:
+    """The one Kalman frame loop over the :func:`_stacked` rows of
+    ``members`` (amplitudes, noise powers, pre-cleaned amplitudes and, in
+    ``mdkr``, complex values): the rows of the estimates, one per frame.
+    The carried state is cut to frame n's row length, a slice that keeps
+    its C order.  Counters go to :func:`tally` as the live members' dicts,
+    which split each row mask in equal consecutive shares; a ring cell gets
+    its own member's dict.  An input row is dropped once nothing reads it.
 
-
-def _kalman_frames(members: list, q: int) -> None:
-    """The one Kalman frame loop, over the stacked bins of ``members``.
-
-    The members come longest first, so the rows still running at frame n,
-    each member's bins side by side, are a leading prefix of the stacked
-    rows, and the carried state is cut to that prefix: a slice that keeps
-    its C order.  Counters go to
-    :func:`tally` as the live members' dicts, which split each row mask in
-    equal consecutive shares; a ring cell gets its own member's dict.
-
-    The speech model is fitted here.  When frame n's modulation window is
-    past the fitted ones, one :func:`speech_lpc_grid` call over the live
-    rows fits the next windows, as many as ``_FIT_PAIRS`` allows and fewer
-    where the shortest live member ends; each window's fit has the bits of
-    the whole grid's.  ``held`` keeps the last ``MOD_FRAMES`` pre-cleaned
-    rows, which the estimates overwrite in the members' grids.  The
-    prediction-gain sums run per row as the frames go, adding the frames
+    When frame n's modulation window is past the fitted ones, one
+    :func:`speech_lpc_grid` call over the live part of the ``pre`` rows
+    fits the next windows, as many as ``_FIT_PAIRS`` allows and fewer where
+    the shortest live member ends; each window's fit has the bits of the
+    whole grid's.  The prediction-gain sums run per row, adding the frames
     in order as a sum down the whole grid would.
     """
-    n_frames, n_bins = members[0].amps.shape
+    n_frames, n_bins = len(amps), members[0].phase.shape[1]
+    ends = [m.phase.shape[0] for m in members]
+    counters = [m.counters for m in members]
     p = SPEECH_ORDER
     dim = p + q
-    mean_power = np.repeat([np.mean(m.amps ** 2) for m in members], n_bins)
+    mean_power = np.repeat([m.mean_power for m in members], n_bins)
     sfloor = _SPEECH_FLOOR_REL * mean_power + _ABS_FLOOR
     nfloor = _NOISE_FLOOR_REL * mean_power + _ABS_FLOOR
-    state = KalmanState(*_init_rows(np.concatenate([m.amps[0] for m in members]),
-                                    np.concatenate([m.psd[0] for m in members]), p, q,
-                                    mean_power), p, q)
+    state = KalmanState(*_init_rows(amps[0], psd[0], p, q, mean_power), p, q)
 
     rows = len(members) * n_bins
     F = np.zeros((rows, dim, dim))
@@ -285,41 +284,39 @@ def _kalman_frames(members: list, q: int) -> None:
         F[:, p + 1:, p: dim - 1] = np.eye(q - 1)
     # fresh excitation enters the current speech and noise amplitudes only
     W = np.zeros((rows, dim, dim))
-    cell_counters = [m.counters for m in members for _ in range(n_bins)]
+    cell_counters = [c for c in counters for _ in range(n_bins)]
     info: dict = {}
     # a live member has more than n frames, so frame n's window exists in
     # each of them: one index serves them all
     jmap = frame_model_index(n_frames, MOD_FRAMES, n_frames - MOD_FRAMES + 1)
-    held = np.empty((MOD_FRAMES, rows))  # pre-cleaned row n at n % MOD_FRAMES
     power, err_power = np.zeros(rows), np.zeros(rows)
     j0, sp_c, sp_v = 0, np.empty((0, rows, p)), np.empty((0, rows))  # windows j0, j0 + 1, ...
+    est_rows, gs_rows, gn_rows = [], [], []
 
     for n in range(n_frames):
-        live = [m for m in members if m.amps.shape[0] > n]
-        L = len(live) * n_bins
+        y, nu2, pre_n = amps[n], psd[n], pre[n]
+        L = y.size
+        live = L // n_bins
         if L < state.a.shape[0]:
             state = KalmanState(state.a[:L], state.P[:L], p, q)
-        split = [m.counters for m in live]
-        pre = np.concatenate([m.amps_hat[n] for m in live])
-        held[n % MOD_FRAMES, :L] = pre
+        split = counters[:live]
         j = jmap[n]
         if j >= j0 + sp_c.shape[0]:
-            w = min(max(_FIT_PAIRS // L, 1), live[-1].amps.shape[0] - MOD_FRAMES + 1 - j)
+            w = min(max(_FIT_PAIRS // L, 1), ends[live - 1] - MOD_FRAMES + 1 - j)
             del sp_c, sp_v  # so the fit does not hold the last windows beside its own
-            sp_c, sp_v = _fit_speech(live, held, n, j, w)
+            sp_c, sp_v = speech_lpc_grid([row[:L] for row in pre[j:j + w + MOD_FRAMES - 1]],
+                                         MOD_FRAMES, SPEECH_ORDER)
             j0 = j
         np.negative(sp_c[j - j0, :L], out=F[:L, 0, :p])
         W[:L, 0, 0] = sp_v[j - j0, :L]
         if n >= p:
-            hist = held[[t % MOD_FRAMES for t in range(n - p, n)], :L][::-1]  # newest first
+            hist = np.array([row[:L] for row in pre[n - p:n]])[::-1]  # newest first
             pred = -np.einsum("ki,ik->k", sp_c[j - j0, :L], hist)
-            power[:L] += pre ** 2
-            err_power[:L] += (pre - pred) ** 2
+            power[:L] += pre_n ** 2
+            err_power[:L] += (pre_n - pred) ** 2
         if q:
-            np.negative(np.concatenate([m.nz_c[j] for m in live]), out=F[:L, p, p:])
-            W[:L, p, p] = np.concatenate([m.nz_v[j] for m in live])
-        amps = np.concatenate([m.amps[n] for m in live])
-        psd = np.concatenate([m.psd[n] for m in live])
+            np.negative(np.concatenate([m.nz_c[j] for m in members[:live]]), out=F[:L, p, p:])
+            W[:L, p, p] = np.concatenate([m.nz_v[j] for m in members[:live]])
 
         state, mu, Sigma = predict(state, F[:L], W[:L], split)
 
@@ -332,7 +329,7 @@ def _kalman_frames(members: list, q: int) -> None:
         np.maximum(Sigma[:, 0, 0], sfloor[:L], out=Sigma[:, 0, 0])
         if q:
             np.maximum(Sigma[:, 1, 1], nfloor[:L], out=Sigma[:, 1, 1])
-            mcap = _NOISE_MEAN_CAP * np.sqrt(np.pi * psd / 4.0)
+            mcap = _NOISE_MEAN_CAP * np.sqrt(np.pi * nu2 / 4.0)
             over = mu[:, 1] > mcap
             if over.any():
                 mu[over, 1] = mcap[over]
@@ -340,7 +337,7 @@ def _kalman_frames(members: list, q: int) -> None:
 
         if q == 0:
             gprior = fit_gamma_prior(mu[:, 0], Sigma[:, 0, 0], split)
-            mean, var = mdkm_posterior(gprior, psd, amps, split)
+            mean, var = mdkm_posterior(gprior, nu2, y, split)
             good = np.isfinite(mean) & np.isfinite(var) & (var > 0)
             bad |= ~good
             post_mu = np.where(good, mean, mu[:, 0])[:, None]
@@ -352,7 +349,7 @@ def _kalman_frames(members: list, q: int) -> None:
             # more per operation and rounds the same
             mu_s, mu_n = mu[:, 0].tolist(), mu[:, 1].tolist()
             var_s, var_n = Sigma[:, 0, 0].tolist(), Sigma[:, 1, 1].tolist()
-            z_n = np.concatenate([m.values[n] for m in live]).tolist()
+            z_n, values[n] = values[n].tolist(), None
             skip = bad.tolist()
             gs, gn = [0] * L, [0] * L
             for k in range(L):
@@ -368,9 +365,8 @@ def _kalman_frames(members: list, q: int) -> None:
                 post_mu[k] = cmu
                 post_sig[k] = csig
                 gs[k], gn[k] = info["G_speech"], info["G_noise"]
-            for i, m in enumerate(live):
-                m.g_speech[n] = gs[i * n_bins:(i + 1) * n_bins]
-                m.g_noise[n] = gn[i * n_bins:(i + 1) * n_bins]
+            gs_rows.append(np.array(gs, dtype=np.int16))
+            gn_rows.append(np.array(gn, dtype=np.int16))
 
         # a non-finite posterior or a row the update cannot invert comes back
         # non-finite and is reset here: the one per-cell fault path
@@ -378,13 +374,19 @@ def _kalman_frames(members: list, q: int) -> None:
         row_bad = bad | _nonfinite_rows(state.a, state.P)
         est = np.maximum(post_mu[:, 0], 0.0)
         if row_bad.any():
-            est[row_bad] = pre[row_bad]
-            ra, rp = _init_rows(amps[row_bad], psd[row_bad], p, q, mean_power[:L][row_bad])
+            est[row_bad] = pre_n[row_bad]
+            ra, rp = _init_rows(y[row_bad], nu2[row_bad], p, q, mean_power[:L][row_bad])
             state.a[row_bad] = ra
             state.P[row_bad] = rp
             tally(split, "cell_faults", row_bad)
-        for i, m in enumerate(live):
-            m.amps_hat[n] = est[i * n_bins:(i + 1) * n_bins]
+        est_rows.append(est)
+        amps[n] = psd[n] = None
+        if n >= MOD_FRAMES - 1:
+            pre[n - MOD_FRAMES + 1] = None
     for i, m in enumerate(members):
         own = slice(i * n_bins, (i + 1) * n_bins)
         m.gains = prediction_gain(sums=(power[own], err_power[own]))
+        if q:
+            m.g_speech = _unstacked(gs_rows, i, m.phase.shape)
+            m.g_noise = _unstacked(gn_rows, i, m.phase.shape)
+    return est_rows

@@ -1,8 +1,9 @@
 """Log-spectral amplitude baseline enhancer and its noise power tracker.
 
-Both take the noisy amplitude grid.  The tracker's noise power and per-frame
-noise-only flags feed the baseline enhancer itself, the pre-cleaner in front
-of the speech model estimator and, the flags, the noise model estimator.
+The tracker takes the noisy amplitude grid, the enhancer its rows, one per
+frame.  The tracker's noise power and per-frame noise-only flags feed the
+baseline enhancer itself, the pre-cleaner in front of the speech model
+estimator and, the flags, the noise model estimator.
 """
 import numpy as np
 from scipy.special import exp1
@@ -103,43 +104,32 @@ def logmmse_gain(xi, gamma_post):
 
 
 def logmmse_enhance(amps: list, psd: list) -> list:
-    """The amplitude grids of ``amps`` after log-spectral amplitude gains
-    against the matching noise tracks of ``psd``, one grid per utterance.
+    """The amplitude rows of ``amps`` after log-spectral amplitude gains
+    against the matching noise power rows of ``psd``, one 1-D row per frame.
 
     A-priori SNR follows the decision-directed recursion: a weighted blend
     of the previous frame's cleaned power over the noise estimate and the
     instantaneous ``max(gamma-1, 0)``.
 
-    One frame loop steps the stacked bins of all the grids.  They come
-    longest first, so the rows still running at frame n are a leading
-    prefix of the stacked rows, and the carried power is cut to that
-    prefix; each frame gathers its live rows and copies the cleaned ones
-    back to their grids.  Every step acts on each row alone, so each grid
-    has the bits of a call on it alone.
+    A row may hold the bins of several utterances side by side, as long as
+    it is a leading part of the row before it: those bins carry on from
+    that row's, and the rest have ended.  Every step acts on each bin
+    alone, so each utterance gets the bits of a call on its rows alone.
     """
-    if len(amps) != len(psd) or any(np.ndim(a) != 2 or np.shape(a) != np.shape(v)
-                                    for a, v in zip(amps, psd)):
+    if len(amps) != len(psd) or any(np.ndim(y) != 1 or np.shape(y) != np.shape(v)
+                                    for y, v in zip(amps, psd)):
         raise ValueError("noise tracks do not match the spectrograms")
-    lengths = [a.shape[0] for a in amps]
-    if lengths != sorted(lengths, reverse=True):
-        raise ValueError("spectrograms are not given longest first")
-    out = [np.empty_like(a) for a in amps]
-    ends = np.cumsum([0] + [a.shape[1] for a in amps]).tolist()
-    rows = [slice(start, stop) for start, stop in zip(ends, ends[1:])]  # each grid's
-    live = len(amps)
-    for n in range(lengths[0] if amps else 0):
-        while lengths[live - 1] <= n:
-            live -= 1
-        y = np.concatenate([a[n] for a in amps[:live]])
-        nu2 = np.concatenate([v[n] for v in psd[:live]])
+    out = []
+    for n, (y, nu2) in enumerate(zip(amps, psd)):
         gamma = y ** 2 / nu2
         inst = np.maximum(gamma - 1.0, 0.0)
         if n == 0:
             xi = inst
+        elif y.size > prev_psd.size:
+            raise ValueError(f"row {n} is longer than the row before it")
         else:
             xi = DD_ALPHA * prev_power[:y.size] / prev_psd[:y.size] + (1.0 - DD_ALPHA) * inst
         est = logmmse_gain(xi, gamma) * y
-        for grid, row in zip(out[:live], rows):
-            grid[n] = est[row]
+        out.append(est)
         prev_power, prev_psd = est ** 2, nu2
     return out

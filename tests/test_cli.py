@@ -249,7 +249,8 @@ class TestEnhanceBatches:
     def test_unreadable_file_fails_the_run_as_before(self, wavs, batch_wavs, tmp_path,
                                                      capsys):
         # the 8 kHz file sits in the one batch of one process: exit 1 with
-        # read_wav's message, and no output of that batch is written
+        # read_wav's message, and the file before it is written, as when
+        # each file was a job of its own
         paths = [batch_wavs[Mode.MDKM][0], str(wavs / "slow.wav"), batch_wavs[Mode.MDKM][1]]
         assert len(modkalm.cli._batches(paths, 1)) == 1
         rc = main(["enhance", "--mode", "mdkm", *paths, "-o", str(tmp_path),
@@ -257,7 +258,10 @@ class TestEnhanceBatches:
         assert rc == 1
         err = capsys.readouterr().err
         assert err == f"error: {wavs / 'slow.wav'}: sample rate 8000 != expected 16000\n"
-        assert list(tmp_path.iterdir()) == []
+        solo = tmp_path / "solo"
+        assert main(["enhance", "--mode", "mdkm", paths[0], "-o", str(solo)]) == 0
+        [written] = [p for p in tmp_path.iterdir() if p.is_file()]
+        assert written.read_bytes() == (solo / written.name).read_bytes()
 
     def test_logmmse_batch_writes_the_files_before_an_unreadable_one(self, wavs, batch_wavs,
                                                                       tmp_path, capsys):

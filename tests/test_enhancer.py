@@ -189,7 +189,8 @@ class TestModes:
         X = analyze(y)
         amps = np.abs(X)
         psd, _ = track_noise(amps)
-        ref = synthesize(logmmse_enhance([amps], [psd])[0], np.angle(X), n_samples=y.size)
+        ref = synthesize(np.array(logmmse_enhance(list(amps), list(psd))), np.angle(X),
+                         n_samples=y.size)
         assert np.array_equal(out, ref)
 
     @pytest.mark.parametrize("mode", [Mode.MDKM, Mode.MDKR])

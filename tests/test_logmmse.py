@@ -179,13 +179,13 @@ class TestEnhance:
     def test_vanishing_noise_passes_signal_through(self):
         t = np.arange(SAMPLE_RATE) / SAMPLE_RATE
         amps = np.abs(analyze(np.sin(2 * np.pi * 440 * t)))
-        out = logmmse_enhance([amps], [np.full(amps.shape, 1e-20)])[0]
+        out = np.array(logmmse_enhance(list(amps), list(np.full(amps.shape, 1e-20))))
         assert np.allclose(out, amps, rtol=1e-9, atol=1e-12)
 
     def test_suppresses_noise_only_regions(self):
         rng = np.random.default_rng(3)
         amps = np.abs(analyze(rng.standard_normal(3 * SAMPLE_RATE) * 0.1))
-        out = logmmse_enhance([amps], [track_noise(amps)[0]])[0]
+        out = np.array(logmmse_enhance(list(amps), list(track_noise(amps)[0])))
         # skip the final frames, which cover the zero back-padding
         amps = amps[200:-8]
         live = amps > 1e-6 * np.median(amps)
@@ -198,29 +198,36 @@ class TestEnhance:
         rng = np.random.default_rng(3)
         amps = np.abs(analyze(rng.standard_normal(SAMPLE_RATE)))
         with pytest.raises(ValueError):
-            logmmse_enhance([amps], [np.ones((3, amps.shape[1]))])
+            logmmse_enhance(list(amps), list(np.ones((3, amps.shape[1]))))
 
     def test_stacked_grids_get_the_bits_of_solo_calls(self):
-        # unequal lengths, longest first with a tie: each frame steps the
-        # rows still running
+        # unequal lengths, longest first with a tie: each frame's row holds
+        # the bins of the grids still running
         rng = np.random.default_rng(8)
         amps = [rng.exponential(1.0, (n, 257)) for n in (40, 40, 17, 5, 1)]
         psd = [rng.uniform(0.1, 2.0, a.shape) for a in amps]
-        stacked = logmmse_enhance(amps, psd)
-        for a, v, got in zip(amps, psd, stacked):
-            assert got.tobytes() == logmmse_enhance([a], [v])[0].tobytes()
 
-    def test_grids_not_longest_first_rejected(self):
-        amps = [np.ones((n, 257)) for n in (5, 40)]
-        with pytest.raises(ValueError, match="not given longest first"):
-            logmmse_enhance(amps, amps)
+        def stacked(grids):
+            return [np.concatenate([g[n] for g in grids if g.shape[0] > n])
+                    for n in range(grids[0].shape[0])]
+
+        rows = logmmse_enhance(stacked(amps), stacked(psd))
+        for i, (a, v) in enumerate(zip(amps, psd)):
+            got = np.array([row[i * 257:(i + 1) * 257] for row in rows[:a.shape[0]]])
+            assert got.tobytes() == np.array(logmmse_enhance(list(a), list(v))).tobytes()
+
+    def test_row_longer_than_the_one_before_rejected(self):
+        rows = [np.ones(257), np.ones(2 * 257)]
+        with pytest.raises(ValueError, match="row 1 is longer than the row before it"):
+            logmmse_enhance(rows, rows)
 
     def test_deterministic(self):
         rng = np.random.default_rng(12)
         sig = rng.standard_normal(SAMPLE_RATE)
         amps = np.abs(analyze(sig))
-        a = logmmse_enhance([amps], [track_noise(amps)[0]])[0]
-        b = logmmse_enhance([np.abs(analyze(sig))], [track_noise(np.abs(analyze(sig)))[0]])[0]
+        a = np.array(logmmse_enhance(list(amps), list(track_noise(amps)[0])))
+        b = np.array(logmmse_enhance(list(np.abs(analyze(sig))),
+                                     list(track_noise(np.abs(analyze(sig)))[0])))
         assert np.array_equal(a, b)
 
     def test_keeps_modulated_signal_while_cutting_noise(self):
@@ -231,7 +238,7 @@ class TestEnhance:
         speech = gapped_harmonics(n, 0.05, seed=21)
         noisy = speech + rng.standard_normal(n) * 0.02
         amps = np.abs(analyze(noisy))
-        out = logmmse_enhance([amps], [track_noise(amps)[0]])[0]
+        out = np.array(logmmse_enhance(list(amps), list(track_noise(amps)[0])))
         p = np.abs(analyze(speech)) ** 2
         sl = slice(250, -8)  # converged region, clear of the back padding
         strong = p[sl] > 1e-2 * p[sl].max()
